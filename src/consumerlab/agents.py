@@ -1,7 +1,7 @@
 """Consumer agents: situation rules, foraging, consumption and social
 influence.
 
-A consumer holds a value vector (its ideal signature), two learning maps,
+A consumer holds a value vector (its ideal signature), an experience map,
 an expectation state and a handful of frustration counters. Each cycle it
 evaluates which situations are active and fires exactly one primary
 action, chosen by a fixed priority order:
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cognition import AttractivenessState, SelfOrganizingMap
+from .cognition import AttractivenessState
 from .products import valuation
 from .space import GridLocation, ProductState, manhattan
 
@@ -65,7 +65,6 @@ class Consumer:
     id: int
     location: GridLocation
     ideal: np.ndarray
-    perception: SelfOrganizingMap
     attract: AttractivenessState
     expectation: Expectation = Expectation.NEUTRAL
     active_situations: set = field(default_factory=set)
@@ -185,7 +184,7 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
 
 def complete_consumption(consumer: Consumer, world: "World") -> float:
     """Finish the active consumption: realize the type's utility, update
-    expectation against the begin-time prediction, train both maps, adapt
+    expectation against the begin-time prediction, train the map, adapt
     the threshold, shift the ideal, and queue the product's respawn."""
     cfg = world.config
     active = consumer.consuming
@@ -196,7 +195,6 @@ def complete_consumption(consumer: Consumer, world: "World") -> float:
     consumer.expectation = (Expectation.OPTIMISTIC
                             if realized >= active.predicted_utility
                             else Expectation.PESSIMISTIC)
-    consumer.perception.train(ptype.signature)
     consumer.attract.learn(ptype.signature, realized)
     consumer.attract.update_threshold(realized)
     if realized > 0.0:

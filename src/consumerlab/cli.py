@@ -22,10 +22,10 @@ from dataclasses import fields
 import numpy as np
 
 from . import products, stats
-from .harness import (METRIC_NAMES, PairResult, RunConfig, RunResult,
+from .harness import (METRIC_NAMES, RunConfig, RunMetrics, RunResult,
                       batch, read_run_samples, run, run_file_name,
-                      run_metrics, spawn_streams, summary_row, write_run_csv,
-                      write_summary_csv, ConfigError)
+                      run_metrics, summary_row, type_set_from_config,
+                      write_run_csv, write_summary_csv, ConfigError)
 from .serialize import fmt_float, write_csv
 
 _RUN_FILE_RE = re.compile(r"run_(\d+)_(social|nonsocial)\.csv$")
@@ -97,15 +97,8 @@ def _validated_config(args, **flag_overrides) -> RunConfig:
 def cmd_gen_types(args) -> int:
     config = _validated_config(args, seed=args.seed, n_types=args.count,
                                min_type_distance=args.min_dist)
-    rng = spawn_streams(config.seed)["types"]
     try:
-        types = products.generate_type_set(
-            config.n_types, config.min_type_distance, rng,
-            max_attempts=config.max_type_attempts, slope=config.utility_slope,
-            step=config.relax_step, tol=config.relax_tol,
-            max_iter=config.relax_max_iter,
-            min_separation=config.overlap_angle,
-            separation_weight=config.overlap_weight)
+        types = type_set_from_config(config)
     except products.GenerationError as err:
         print(f"error: minimum signature distance {config.min_type_distance} "
               f"not satisfiable: {err} (achieved {err.achieved} types)",
@@ -128,13 +121,9 @@ def cmd_landscape(args) -> int:
         print("error: --samples must be >= 2", file=sys.stderr)
         return 2
     config = _validated_config(args, seed=args.seed)
-    rng = spawn_streams(config.seed)["types"]
-    types = products.generate_type_set(
-        args.samples, 0.0, rng, max_attempts=max(args.samples, 10_000),
-        slope=config.utility_slope, step=config.relax_step,
-        tol=config.relax_tol, max_iter=config.relax_max_iter,
-        min_separation=config.overlap_angle,
-        separation_weight=config.overlap_weight)
+    types = type_set_from_config(config.with_overrides(
+        n_types=args.samples, min_type_distance=0.0,
+        max_type_attempts=max(args.samples, 10_000)))
     radius = config.maxima_radius if config.maxima_radius > 0 else None
     max_ids, distances = products.landscape_distances(types, radius)
     utilities = [t.utility for t in types]
@@ -165,13 +154,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _write_report_files(results_by_pair: list[PairResult], out_dir: str,
-                        report_path: str) -> None:
+def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
+                        out_dir: str, report_path: str) -> None:
+    """Report and KDE files from (social, non-social) metrics per pair."""
     metric_pairs = {name: ([], []) for name in METRIC_NAMES}
-    for pair in results_by_pair:
+    for social_metrics, nonsocial_metrics in metrics_by_pair:
         for name in METRIC_NAMES:
-            s_val = getattr(pair.social.metrics, name)
-            ns_val = getattr(pair.nonsocial.metrics, name)
+            s_val = getattr(social_metrics, name)
+            ns_val = getattr(nonsocial_metrics, name)
             if s_val is None or ns_val is None:
                 continue
             metric_pairs[name][0].append(s_val)
@@ -200,8 +190,9 @@ def cmd_experiment(args) -> int:
                                             result.config.social)))
             flat.append(result)
     write_summary_csv(flat, os.path.join(args.out_dir, "summary.csv"))
-    _write_report_files(pairs, args.out_dir,
-                        os.path.join(args.out_dir, "report.csv"))
+    _write_report_files([(p.social.metrics, p.nonsocial.metrics)
+                         for p in pairs],
+                        args.out_dir, os.path.join(args.out_dir, "report.csv"))
     print(f"{args.pairs} pairs ({2 * args.pairs} runs) written to {args.out_dir}")
     return 0
 
@@ -227,28 +218,13 @@ def cmd_analyze(args) -> int:
         print(f"error: incomplete pairs for seeds: {', '.join(gaps)}",
               file=sys.stderr)
         return 1
-    pairs = []
-    for seed in sorted(by_seed):
-        arms = {}
-        for arm in ("social", "nonsocial"):
-            samples = read_run_samples(by_seed[seed][arm])
-            arms[arm] = _metrics_only_result(samples, config, seed,
-                                             arm == "social")
-        pairs.append(PairResult(seed=seed, social=arms["social"],
-                                nonsocial=arms["nonsocial"]))
+    pairs = [tuple(run_metrics(read_run_samples(by_seed[seed][arm]), config)
+                   for arm in ("social", "nonsocial"))
+             for seed in sorted(by_seed)]
     _write_report_files(pairs, os.path.dirname(os.path.abspath(args.out)),
                         args.out)
     print(f"analysis of {len(pairs)} pairs written to {args.out}")
     return 0
-
-
-def _metrics_only_result(samples, config: RunConfig, seed: int,
-                         social: bool) -> RunResult:
-    cfg = config.with_overrides(seed=seed, social=social)
-    return RunResult(config=cfg, init_checksum="", network_checksum_start="",
-                     network_checksum_end="", samples=samples, fdc=None,
-                     consumption_events=sum(s.total_units for s in samples),
-                     metrics=run_metrics(samples, cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Per-consumer learning machinery.
 
-Each consumer carries two self-organizing maps: a 2-D map that condenses
-product signatures into an internal representation, and a 1-D map over
-(signature, realized utility) inputs whose utility component, compared
-against an adaptive threshold, decides whether an inspected product looks
-attractive.
+Each consumer carries one self-organizing map, the experience map: a 1-D
+map over (signature, realized utility) inputs whose utility component,
+compared against an adaptive threshold, decides whether an inspected
+product looks attractive. Kohonen, Self-Organizing Maps (3rd ed., 2001)
+is the reference for the map and its schedules.
 """
 
 from __future__ import annotations
@@ -17,38 +17,35 @@ UTILITY_DIM = 6  # index of the realized-utility component in conception inputs
 
 
 class SelfOrganizingMap:
-    """Kohonen map on a rows x cols node grid with Gaussian neighborhood
-    and multiplicative learning-rate / radius decay."""
+    """Kohonen map on a line of nodes with Gaussian neighborhood and
+    multiplicative learning-rate / radius decay."""
 
-    def __init__(self, rows: int, cols: int, dim: int, weights: np.ndarray,
+    def __init__(self, nodes: int, dim: int, weights: np.ndarray,
                  alpha0: float = 0.3, alpha_decay: float = 0.999,
                  alpha_floor: float = 0.01, radius0: float | None = None,
                  radius_decay: float = 0.999, radius_floor: float = 0.5):
-        if rows < 1 or cols < 1:
-            raise ValueError("map shape must be positive")
+        if nodes < 1:
+            raise ValueError("map must have at least one node")
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (rows * cols, dim):
-            raise ValueError(f"weights must have shape {(rows * cols, dim)}")
-        self.rows = rows
-        self.cols = cols
+        if weights.shape != (nodes, dim):
+            raise ValueError(f"weights must have shape {(nodes, dim)}")
         self.dim = dim
         self.weights = weights
         self.alpha0 = alpha0
         self.alpha_decay = alpha_decay
         self.alpha_floor = alpha_floor
-        self.radius0 = max(rows, cols) / 2.0 if radius0 is None else radius0
+        self.radius0 = nodes / 2.0 if radius0 is None else radius0
         self.radius_decay = radius_decay
         self.radius_floor = radius_floor
         self.steps = 0
-        coords = [(n // cols, n % cols) for n in range(rows * cols)]
-        self._coords = np.array(coords, dtype=float)
+        self._positions = np.arange(nodes, dtype=float)
 
     @classmethod
-    def random_init(cls, rows: int, cols: int, dim: int,
-                    rng: np.random.Generator, low: float = 0.0,
-                    high: float = 2.0, **kwargs) -> "SelfOrganizingMap":
-        weights = rng.uniform(low, high, size=(rows * cols, dim))
-        return cls(rows, cols, dim, weights, **kwargs)
+    def random_init(cls, nodes: int, dim: int, rng: np.random.Generator,
+                    low: float = 0.0, high: float = 2.0,
+                    **kwargs) -> "SelfOrganizingMap":
+        weights = rng.uniform(low, high, size=(nodes, dim))
+        return cls(nodes, dim, weights, **kwargs)
 
     def alpha(self) -> float:
         return max(self.alpha_floor, self.alpha0 * self.alpha_decay ** self.steps)
@@ -68,35 +65,18 @@ class SelfOrganizingMap:
         diff = w - x
         return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
 
-    def node_position(self, node: int) -> tuple[int, int]:
-        return node // self.cols, node % self.cols
-
     def train(self, x) -> None:
         """One unsupervised step: every node moves toward x, weighted by a
-        Gaussian of its grid distance to the BMU; schedules then advance."""
+        Gaussian of its distance along the line to the BMU; schedules then advance."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"input must have {self.dim} components")
-        node = self.bmu(x)
-        delta = self._coords - self._coords[node]
-        grid_d2 = (delta * delta).sum(axis=1)
+        delta = self._positions - self.bmu(x)
+        grid_d2 = delta * delta
         r = self.radius()
         h = np.exp(-grid_d2 / (2.0 * r * r))
         self.weights += self.alpha() * h[:, None] * (x - self.weights)
         self.steps += 1
-
-    def quantization_error(self, x) -> float:
-        node = self.bmu(np.asarray(x, dtype=float))
-        diff = self.weights[node] - x
-        return float(np.sqrt(np.dot(diff, diff)))
-
-    def perceive(self, x) -> tuple[tuple[int, int], float]:
-        """Map an input to its BMU's grid coordinates plus the quantization
-        error; no learning happens."""
-        x = np.asarray(x, dtype=float)
-        node = self.bmu(x)
-        diff = self.weights[node] - x
-        return self.node_position(node), float(np.sqrt(np.dot(diff, diff)))
 
 
 @dataclass
@@ -118,10 +98,6 @@ class AttractivenessState:
             raise RuntimeError("attractiveness map used before priming")
         node = self.som.bmu(np.asarray(signature, dtype=float), dims=UTILITY_DIM)
         return float(np.clip(self.som.weights[node, UTILITY_DIM], -1.0, 1.0))
-
-    def assess(self, signature) -> bool:
-        """True when the predicted utility reaches the current threshold."""
-        return self.predict_utility(signature) >= self.threshold
 
     def learn(self, signature, realized_utility: float) -> None:
         x = np.empty(UTILITY_DIM + 1)

@@ -68,8 +68,6 @@ class RunConfig:
     proximity_radius: int = 12
     respawn_sigma: float = 10.0
     # cognition
-    perception_rows: int = 8
-    perception_cols: int = 8
     conception_nodes: int = 16
     som_alpha: float = 0.3
     som_alpha_decay: float = 0.999
@@ -115,6 +113,9 @@ class RunConfig:
             problems.append("sample_every must be >= 1")
         elif self.cycles % self.sample_every != 0:
             problems.append("cycles must be divisible by sample_every")
+        elif self.cycles < 2 * self.sample_every:
+            problems.append("cycles must cover at least two samples "
+                            "(>= 2 * sample_every)")
         if self.width < 1 or self.height < 1:
             problems.append("width/height must be positive")
         if self.n_consumers < 1:
@@ -147,6 +148,19 @@ class RunConfig:
             problems.append("coverage_cell_width must be positive")
         if self.min_type_distance < 0:
             problems.append("min_type_distance must be >= 0")
+        for key in ("max_type_attempts", "relax_max_iter", "conception_nodes"):
+            if getattr(self, key) < 1:
+                problems.append(f"{key} must be >= 1")
+        if not self.relax_step > 0.0:
+            problems.append("relax_step must be positive")
+        for key in ("som_alpha", "som_alpha_decay", "som_alpha_floor",
+                    "som_radius_decay", "tie_boost", "tie_decay",
+                    "tie_removal_floor", "initial_tie_strength",
+                    "referral_strength"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                problems.append(f"{key} must be in [0, 1]")
+        if not self.som_radius_floor > 0.0:
+            problems.append("som_radius_floor must be positive")
         return problems
 
     def density_warnings(self) -> list[str]:
@@ -172,6 +186,18 @@ def spawn_streams(seed: int) -> dict[str, np.random.Generator]:
             for name, child in zip(_STREAMS, children)}
 
 
+def type_set_from_config(config: RunConfig) -> list[ProductType]:
+    """The product type set a run at `config.seed` uses, drawn from the
+    seed's "types" substream."""
+    return generate_type_set(
+        config.n_types, config.min_type_distance,
+        spawn_streams(config.seed)["types"],
+        max_attempts=config.max_type_attempts, slope=config.utility_slope,
+        step=config.relax_step, tol=config.relax_tol,
+        max_iter=config.relax_max_iter, min_separation=config.overlap_angle,
+        separation_weight=config.overlap_weight)
+
+
 _PLACEMENT_RETRIES = 10_000
 
 
@@ -187,12 +213,7 @@ class World:
         streams = spawn_streams(config.seed)
         self.rng = streams["cycle"]
 
-        self.types: list[ProductType] = generate_type_set(
-            config.n_types, config.min_type_distance, streams["types"],
-            max_attempts=config.max_type_attempts, slope=config.utility_slope,
-            step=config.relax_step, tol=config.relax_tol,
-            max_iter=config.relax_max_iter, min_separation=config.overlap_angle,
-            separation_weight=config.overlap_weight)
+        self.types: list[ProductType] = type_set_from_config(config)
 
         self.space = ConsumptionSpace(config.width, config.height,
                                       config.proximity_radius)
@@ -244,15 +265,15 @@ class World:
             else:
                 raise ConfigError(["consumer placement failed; density too high"])
             self.space.place_consumer(cid, loc)
-            perception = SelfOrganizingMap.random_init(
-                cfg.perception_rows, cfg.perception_cols, SIGNATURE_DIM,
-                rng_som, cfg.som_weight_low, cfg.som_weight_high, **som_kwargs)
+            # no map uses this draw, but rng_som is interleaved per
+            # consumer: without it every experience map gets other weights
+            rng_som.uniform(cfg.som_weight_low, cfg.som_weight_high,
+                            size=(64, SIGNATURE_DIM))
             conception = SelfOrganizingMap.random_init(
-                cfg.conception_nodes, 1, SIGNATURE_DIM + 1,
+                cfg.conception_nodes, SIGNATURE_DIM + 1,
                 rng_som, cfg.som_weight_low, cfg.som_weight_high, **som_kwargs)
             self.consumers.append(Consumer(
                 id=cid, location=loc, ideal=shared_ideal.copy(),
-                perception=perception,
                 attract=AttractivenessState(conception, threshold=0.0,
                                             adapt_rate=cfg.threshold_rate),
                 recent_utilities=deque(maxlen=cfg.utility_window)))
@@ -331,22 +352,17 @@ class World:
             h.update(np.ascontiguousarray(c.ideal).tobytes())
             h.update(struct.pack("<d", c.attract.threshold))
             h.update(struct.pack("<i", list(Expectation).index(c.expectation)))
-            h.update(np.ascontiguousarray(c.perception.weights).tobytes())
             h.update(np.ascontiguousarray(c.attract.som.weights).tobytes())
         h.update(self.network.checksum().encode())
         return h.hexdigest()
 
 
 def prime_consumers(world: World) -> None:
-    """Expose every consumer to each product type in type-id order:
-    perceive, assess (once the map has learned anything), then one learning
-    step on both maps with the type's signature and utility."""
+    """Expose every consumer to each product type in type-id order: one
+    learning step of the experience map with the type's signature and
+    utility."""
     for consumer in world.consumers:
         for ptype in world.types:
-            consumer.perception.perceive(ptype.signature)
-            if consumer.attract.som.steps > 0:
-                consumer.attract.assess(ptype.signature)
-            consumer.perception.train(ptype.signature)
             consumer.attract.learn(ptype.signature, ptype.utility)
 
 
@@ -570,22 +586,29 @@ def write_run_csv(result: RunResult, path: str) -> None:
 
 def read_run_samples(path: str) -> list[PeriodSample]:
     """Rebuild period samples from a run CSV; consumption totals are
-    recomputed exactly as the simulation computed them."""
+    recomputed exactly as the simulation computed them. A row without ten
+    fields, or a cycle with fewer or more rows than the first cycle (a
+    truncated file), raises ValueError naming the file and line."""
     groups: dict[int, tuple[list[int], list[float], list[np.ndarray]]] = {}
     order: list[int] = []
+    first_line: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         if header != RUN_CSV_HEADER:
             raise ValueError(f"{path}: unexpected run CSV header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != len(RUN_CSV_HEADER):
+                raise ValueError(f"{path}:{lineno}: expected "
+                                 f"{len(RUN_CSV_HEADER)} fields, got {len(parts)}")
             cycle = int(parts[0])
             if cycle not in groups:
                 groups[cycle] = ([], [], [])
                 order.append(cycle)
+                first_line[cycle] = lineno
             units, utility, ideals = groups[cycle]
             units.append(int(parts[2]))
             utility.append(float(parts[3]))
@@ -593,6 +616,10 @@ def read_run_samples(path: str) -> list[PeriodSample]:
     samples = []
     for cycle in order:
         units, utility, ideals = groups[cycle]
+        if len(units) != len(groups[order[0]][0]):
+            raise ValueError(f"{path}:{first_line[cycle]}: cycle {cycle} has "
+                             f"{len(units)} rows, the first cycle "
+                             f"{len(groups[order[0]][0])}")
         samples.append(make_sample(cycle, units, utility, np.array(ideals)))
     return samples
 

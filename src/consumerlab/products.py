@@ -280,14 +280,6 @@ class ProductType:
     utility: float
 
 
-def make_product_type(type_id: int, topology: ProductTopology,
-                      slope: float = 1.0, **layout_kwargs) -> ProductType:
-    layout = layout_signature(topology, **layout_kwargs)
-    return ProductType(type_id=type_id, topology=topology,
-                       signature=layout.signature,
-                       utility=utility_from_edges(topology.edge_count, slope))
-
-
 _CANDIDATE_BLOCK = 32
 
 

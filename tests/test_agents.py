@@ -58,18 +58,16 @@ def make_type(type_id=0, edge_count=10, signature=None):
 def make_consumer(cid=0, x=5, y=5, ideal=None, world=None, threshold=-1.0,
                   utility_window=10):
     rng = np.random.default_rng(1000 + cid)
-    perception = SelfOrganizingMap.random_init(4, 4, 6, rng)
-    conception = SelfOrganizingMap.random_init(8, 1, 7, rng)
+    rng.uniform(0.0, 2.0, size=(16, 6))  # keeps each fixture's map weights
+    conception = SelfOrganizingMap.random_init(8, 7, rng)
     consumer = Consumer(
         id=cid, location=GridLocation(x, y),
         ideal=np.full(6, 1.0) if ideal is None else np.asarray(ideal, float),
-        perception=perception,
         attract=AttractivenessState(conception, threshold=threshold),
         recent_utilities=deque(maxlen=utility_window))
-    # prime the conception map so assessments are legal
+    # prime the conception map so predictions are legal
     for _ in range(3):
         consumer.attract.learn(np.full(6, 1.0), 0.5)
-        consumer.perception.train(np.full(6, 1.0))
     if world is not None:
         world.space.place_consumer(cid, consumer.location)
         world.consumers[cid] = consumer

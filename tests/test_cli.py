@@ -1,6 +1,7 @@
 """Command-line interface checks: every subcommand, determinism of outputs,
 config handling and failure exits."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -188,6 +189,34 @@ def test_experiment_rerun_byte_identical(tmp_path, config_file):
         assert read(a / name) == read(b / name), name
 
 
+# sha256 of every file `experiment --pairs 2 --seed-base 11` writes on
+# SMALL_CONFIG; a refactor must reproduce these bytes, and only a deliberate
+# model change may re-record them
+GOLDEN_EXPERIMENT = {
+    "kde_mean_coverage_nonsocial.csv": "956e7ba6195ba77b10c6062af268c91be901f30c24d87974fc1b66930269b8b5",
+    "kde_mean_coverage_social.csv": "956e7ba6195ba77b10c6062af268c91be901f30c24d87974fc1b66930269b8b5",
+    "kde_mean_path_length_nonsocial.csv": "8b547720beba9bf5641afee6358fa6c669e727c00c4d7a48e33d71485ddf77e2",
+    "kde_mean_path_length_social.csv": "8b547720beba9bf5641afee6358fa6c669e727c00c4d7a48e33d71485ddf77e2",
+    "kde_mean_units_nonsocial.csv": "5ba8e69dc929c1faff30f9184f59c187b3dc0bb249c4531ca526b12b3e62bb93",
+    "kde_mean_units_social.csv": "5ba8e69dc929c1faff30f9184f59c187b3dc0bb249c4531ca526b12b3e62bb93",
+    "report.csv": "53a22cef14491f4d8cd0105574e460098290cd8b40e2542431c9551f2137e754",
+    "run_11_nonsocial.csv": "bbf9131760e76a880ae2ab10fb0d5e36edc2dc411c663985f14177df1f825e95",
+    "run_11_social.csv": "bbf9131760e76a880ae2ab10fb0d5e36edc2dc411c663985f14177df1f825e95",
+    "run_12_nonsocial.csv": "358698bfe5f819d25fb1e32bac68550dd6131b5d93a217509872eb94a1d84678",
+    "run_12_social.csv": "358698bfe5f819d25fb1e32bac68550dd6131b5d93a217509872eb94a1d84678",
+    "summary.csv": "1c6dbb4ed394dca12896f3344e8a764d9b87c23b3d69706c10d1735e634efc15",
+}
+
+
+def test_experiment_golden_bytes(tmp_path, config_file):
+    out_dir = tmp_path / "golden"
+    assert main(["experiment", "--pairs", "2", "--seed-base", "11",
+                 "--config", config_file, "--out-dir", str(out_dir)]) == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in sorted(os.listdir(out_dir))}
+    assert digests == GOLDEN_EXPERIMENT
+
+
 def test_experiment_single_pair_marks_insufficient_n(tmp_path, config_file):
     out_dir = tmp_path / "exp1"
     assert main(["experiment", "--pairs", "1", "--seed-base", "5",
@@ -213,6 +242,18 @@ def test_analyze_incomplete_pair_fails(tmp_path, config_file, capsys):
     assert main(["analyze", "--in-dir", str(out_dir),
                  "--out", str(tmp_path / "r.csv")]) == 1
     assert "8" in capsys.readouterr().err
+
+
+def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys):
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--pairs", "1", "--seed-base", "8",
+                 "--config", config_file, "--out-dir", str(out_dir)]) == 0
+    victim = out_dir / "run_8_social.csv"
+    lines = read(victim).splitlines(keepends=True)
+    victim.write_text("".join(lines[:-2]))
+    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert "run_8_social.csv" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

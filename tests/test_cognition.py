@@ -6,9 +6,9 @@ import pytest
 from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
 
 
-def make_som(rows=3, cols=3, dim=4, seed=0, **kwargs):
+def make_som(nodes=9, dim=4, seed=0, **kwargs):
     rng = np.random.default_rng(seed)
-    return SelfOrganizingMap.random_init(rows, cols, dim, rng, **kwargs)
+    return SelfOrganizingMap.random_init(nodes, dim, rng, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -23,14 +23,14 @@ def test_bmu_exact_weight_match():
 
 def test_bmu_tie_goes_to_lower_index():
     weights = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    som = SelfOrganizingMap(3, 1, 2, weights)
+    som = SelfOrganizingMap(3, 2, weights)
     assert som.bmu(np.array([1.0, 0.0])) == 0
     # equidistant between nodes 0 and 1
     assert som.bmu(np.array([0.5, 0.5])) == 0
 
 
 def test_bmu_matches_exhaustive_scan():
-    som = make_som(3, 3, 4, seed=1)
+    som = make_som(9, 4, seed=1)
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = rng.uniform(0, 2, size=4)
@@ -57,14 +57,25 @@ def test_train_with_zero_alpha_leaves_weights():
 
 
 def test_single_node_full_rate_overwrites():
-    som = make_som(rows=1, cols=1, alpha0=1.0)
+    som = make_som(nodes=1, alpha0=1.0)
     x = np.array([0.3, 1.7, 0.9, 0.1])
     som.train(x)
     assert np.allclose(som.weights[0], x, atol=1e-15)
 
 
+def test_neighborhood_is_gaussian_in_node_distance():
+    # all nodes start at 0 except the BMU, which already sits on x
+    som = SelfOrganizingMap(5, 1, np.array([[0.0], [0.0], [1.0], [0.0], [0.0]]),
+                            alpha0=0.5, radius0=1.0)
+    som.train(np.array([1.0]))
+    h = np.exp(-np.array([4.0, 1.0, 0.0, 1.0, 4.0]) / 2.0)
+    expected = 0.5 * h
+    expected[2] = 1.0
+    assert som.weights[:, 0] == pytest.approx(expected, abs=1e-15)
+
+
 def test_repeated_training_converges_to_input():
-    som = make_som(rows=4, cols=4, dim=4, seed=3)
+    som = make_som(nodes=16, dim=4, seed=3)
     x = np.array([1.2, 0.4, 0.9, 1.5])
     for _ in range(1000):
         som.train(x)
@@ -81,7 +92,7 @@ def test_training_is_deterministic():
 
 
 def test_weights_stay_in_component_hull():
-    som = make_som(rows=4, cols=4, dim=3, seed=5, low=0.0, high=2.0)
+    som = make_som(nodes=16, dim=3, seed=5, low=0.0, high=2.0)
     rng = np.random.default_rng(6)
     inputs = rng.uniform(-1.0, 3.0, size=(200, 3))
     lo = np.minimum(som.weights.min(axis=0), inputs.min(axis=0))
@@ -104,31 +115,8 @@ def test_schedules_decay_and_floor():
     assert som.radius() == 0.5
 
 
-# ---------------------------------------------------------------------------
-# perception
-
-
-def test_perceive_exact_node_weight_zero_error():
-    som = make_som(dim=6)
-    x = som.weights[4].copy()
-    coords, err = som.perceive(x)
-    assert coords == som.node_position(4)
-    assert err == 0.0
-
-
-def test_perceive_idempotent_without_training():
-    som = make_som(rows=8, cols=8, dim=6, seed=7)
-    rng = np.random.default_rng(8)
-    signatures = rng.uniform(0, 2, size=(10, 6))
-    for sig in signatures:
-        som.train(sig)
-    first = [som.perceive(sig) for sig in signatures]
-    second = [som.perceive(sig) for sig in signatures]
-    assert first == second
-
-
 def test_distant_signatures_map_to_distinct_nodes_after_priming():
-    som = make_som(rows=8, cols=8, dim=6, seed=9)
+    som = make_som(nodes=64, dim=6, seed=9)
     rng = np.random.default_rng(10)
     signatures = rng.uniform(0, 2, size=(10, 6))
     for _ in range(3):
@@ -137,9 +125,7 @@ def test_distant_signatures_map_to_distinct_nodes_after_priming():
     from itertools import combinations
     far_a, far_b = max(combinations(range(10), 2),
                        key=lambda p: np.linalg.norm(signatures[p[0]] - signatures[p[1]]))
-    coords_a, _ = som.perceive(signatures[far_a])
-    coords_b, _ = som.perceive(signatures[far_b])
-    assert coords_a != coords_b
+    assert som.bmu(signatures[far_a]) != som.bmu(signatures[far_b])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +134,7 @@ def test_distant_signatures_map_to_distinct_nodes_after_priming():
 
 def primed_state(threshold=0.0, seed=11, pairs=()):
     rng = np.random.default_rng(seed)
-    som = SelfOrganizingMap.random_init(16, 1, 7, rng)
+    som = SelfOrganizingMap.random_init(16, 7, rng)
     state = AttractivenessState(som, threshold=threshold)
     for signature, utility in pairs:
         state.learn(np.asarray(signature, dtype=float), utility)
@@ -158,7 +144,7 @@ def primed_state(threshold=0.0, seed=11, pairs=()):
 def test_unprimed_assessment_raises():
     state = primed_state()
     with pytest.raises(RuntimeError):
-        state.assess(np.zeros(6))
+        state.predict_utility(np.zeros(6))
 
 
 def test_floor_threshold_always_attractive():
@@ -166,7 +152,7 @@ def test_floor_threshold_always_attractive():
                          pairs=[(np.ones(6), -0.9), (np.zeros(6), 0.2)])
     rng = np.random.default_rng(12)
     for _ in range(20):
-        assert state.assess(rng.uniform(0, 2, size=6)) is True
+        assert state.predict_utility(rng.uniform(0, 2, size=6)) >= state.threshold
 
 
 def test_ceiling_threshold_requires_perfect_prediction():
@@ -174,14 +160,14 @@ def test_ceiling_threshold_requires_perfect_prediction():
     for _ in range(500):
         state.learn(np.ones(6), 0.5)
     # converged prediction is 0.5 < 1.0
-    assert state.assess(np.ones(6)) is False
+    assert state.predict_utility(np.ones(6)) < state.threshold
     # a node pinned at the ceiling is the only way to pass threshold 1.0
     weights = np.zeros((1, 7))
     weights[0, 6] = 1.0
-    som = SelfOrganizingMap(1, 1, 7, weights)
+    som = SelfOrganizingMap(1, 7, weights)
     som.steps = 1
     pinned = AttractivenessState(som, threshold=1.0)
-    assert pinned.assess(np.zeros(6)) is True
+    assert pinned.predict_utility(np.zeros(6)) >= pinned.threshold
 
 
 def test_single_experience_dominates_prediction():
@@ -190,7 +176,7 @@ def test_single_experience_dominates_prediction():
     for _ in range(500):
         state.learn(signature, 0.7)
     assert state.predict_utility(signature) == pytest.approx(0.7, abs=1e-3)
-    assert state.assess(signature) is True
+    assert state.predict_utility(signature) >= state.threshold
 
 
 def test_prediction_ignores_utility_component():
@@ -201,7 +187,7 @@ def test_prediction_ignores_utility_component():
     weights[0, 6] = 0.9
     weights[1, :6] = 0.0
     weights[1, 6] = -0.9
-    som = SelfOrganizingMap(2, 1, 7, weights)
+    som = SelfOrganizingMap(2, 7, weights)
     som.steps = 1
     state = AttractivenessState(som)
     assert state.predict_utility(np.ones(6)) == pytest.approx(0.9)
@@ -211,7 +197,7 @@ def test_prediction_ignores_utility_component():
 def test_prediction_clamped_to_utility_range():
     weights = np.zeros((1, 7))
     weights[0, 6] = 1.8
-    som = SelfOrganizingMap(1, 1, 7, weights)
+    som = SelfOrganizingMap(1, 7, weights)
     som.steps = 1
     state = AttractivenessState(som)
     assert state.predict_utility(np.zeros(6)) == 1.0
