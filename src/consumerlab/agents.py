@@ -1,16 +1,19 @@
 """Consumer agents: situation rules, foraging, consumption and social
 influence.
 
-A consumer holds a value vector (its ideal signature), an experience map,
-an expectation state and a handful of frustration counters. Each cycle it
-evaluates which situations are active and fires exactly one primary
-action, chosen by a fixed priority order:
+A consumer holds a value vector (its ideal signature), an experience map
+with its attractiveness threshold, and a handful of frustration counters.
+Each cycle it evaluates which situations are active and fires exactly one
+primary action, chosen by a fixed priority order:
 
-    Dissatisfied > SearchForAFriend > InteractSocially > Bored >
-    ChangeLocation > ChangeValues > ConsumeLocally
+    Dissatisfied > SearchForAFriend > (navigating) > InteractSocially >
+    Bored > ChangeLocation > ChangeValues > ConsumeLocally
 
 Overlapping situations may be active at once; the priority order resolves
-conflicts. All randomness flows through the run's cycle stream, so equal
+conflicts. A consumer with a navigation target walks toward it instead of
+interacting, changing or foraging. Social influence acts on one neighbour
+only: the most admired one with consumption history, else the most
+similar one. All randomness flows through the run's cycle stream, so equal
 seeds give identical action traces.
 """
 
@@ -29,13 +32,6 @@ from .space import GridLocation, ProductState, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import World
-
-
-class Expectation(enum.Enum):
-    NEUTRAL = "neutral"
-    OPTIMISTIC = "optimistic"
-    PESSIMISTIC = "pessimistic"
-    SOCIAL_NAVIGATION = "social-navigation"
 
 
 class Situation(enum.Enum):
@@ -57,7 +53,6 @@ _PERSISTENT = (Situation.CHANGE_LOCATION, Situation.CHANGE_VALUES)
 class ActiveConsumption:
     instance_id: int
     remaining: int
-    predicted_utility: float
 
 
 @dataclass
@@ -66,7 +61,6 @@ class Consumer:
     location: GridLocation
     ideal: np.ndarray
     attract: AttractivenessState
-    expectation: Expectation = Expectation.NEUTRAL
     active_situations: set = field(default_factory=set)
     boredom_count: int = 0
     dissatisfaction_count: int = 0
@@ -75,9 +69,8 @@ class Consumer:
     recent_utilities: deque = field(default_factory=lambda: deque(maxlen=10))
     units_consumed: int = 0
     utility_total: float = 0.0
-    # social navigation state
+    # social navigation: a target cell means the consumer is navigating
     nav_target: GridLocation | None = None
-    nav_prior: Expectation | None = None
     nav_budget: int = 0
     # alternation toggles
     change_location_next: bool = True
@@ -126,7 +119,7 @@ def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
     if Situation.SEARCH_FOR_A_FRIEND in sits:
         _fire_referral(consumer, world, rng)
         return
-    if consumer.expectation is Expectation.SOCIAL_NAVIGATION:
+    if consumer.nav_target is not None:
         _navigation_step(consumer, world)
         return
     if Situation.INTERACT_SOCIALLY in sits:
@@ -166,8 +159,8 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
     if predicted >= consumer.attract.threshold \
             and valuation(consumer.ideal, signature) <= cfg.max_valuation_gap:
         instance.state = ProductState.BEING_CONSUMED
-        consumer.consuming = ActiveConsumption(
-            instance.instance_id, cfg.consumption_cycles, predicted)
+        consumer.consuming = ActiveConsumption(instance.instance_id,
+                                               cfg.consumption_cycles)
         consumer.boredom_count = 0
         consumer.failed_search_count = 0
         return True
@@ -183,18 +176,15 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
 
 
 def complete_consumption(consumer: Consumer, world: "World") -> float:
-    """Finish the active consumption: realize the type's utility, update
-    expectation against the begin-time prediction, train the map, adapt
-    the threshold, shift the ideal, and queue the product's respawn."""
+    """Finish the active consumption: realize the type's utility, train the
+    map, adapt the threshold, shift the ideal, and queue the product's
+    respawn."""
     cfg = world.config
     active = consumer.consuming
     instance = world.space.products[active.instance_id]
     ptype = world.types[instance.type_id]
     realized = ptype.utility
     consumer.consuming = None
-    consumer.expectation = (Expectation.OPTIMISTIC
-                            if realized >= active.predicted_utility
-                            else Expectation.PESSIMISTIC)
     consumer.attract.learn(ptype.signature, realized)
     consumer.attract.update_threshold(realized)
     if realized > 0.0:
@@ -222,36 +212,27 @@ def adjust_values(consumer: Consumer, target, eta: float, toward: bool) -> None:
 # social behavior
 
 
-def categorize_neighbors(consumer: Consumer, network, consumers) -> dict[str, int]:
-    """Label direct social neighbors.
+def influence_target(consumer: Consumer, network, consumers) -> int | None:
+    """The direct social neighbor an interaction acts on.
 
-    most_similar / most_dissimilar rank by valuation distance between
-    ideals; most_admired / least_admired rank by trailing mean realized
-    utility (neighbors with no history are left out of the admiration
-    ranking). All ties break toward the lower consumer id. Returns an
-    empty mapping when the consumer has no ties.
+    That is the most admired neighbor (highest trailing mean realized
+    utility) among those with consumption history, else the most similar
+    one (smallest valuation distance between ideals). Ties break toward
+    the lower consumer id. None when the consumer has no ties.
     """
     neighbor_ids = sorted(network.neighbors(consumer.id))
-    if not neighbor_ids:
-        return {}
-    by_distance = [(valuation(consumer.ideal, consumers[b].ideal), b)
-                   for b in neighbor_ids]
-    labels = {
-        "most_similar": min(by_distance)[1],
-        "most_dissimilar": -max((d, -b) for d, b in by_distance)[1],
-    }
-    by_utility = [(sum(consumers[b].recent_utilities) / len(consumers[b].recent_utilities), b)
-                  for b in neighbor_ids if consumers[b].recent_utilities]
-    if by_utility:
-        labels["most_admired"] = -max((u, -b) for u, b in by_utility)[1]
-        labels["least_admired"] = min(by_utility)[1]
-    return labels
+    with_history = [b for b in neighbor_ids if consumers[b].recent_utilities]
+    if with_history:
+        return max(with_history,
+                   key=lambda b: (sum(consumers[b].recent_utilities)
+                                  / len(consumers[b].recent_utilities)))
+    return min(neighbor_ids, default=None,
+               key=lambda b: valuation(consumer.ideal, consumers[b].ideal))
 
 
 def interact_socially(consumer: Consumer, world: "World",
                       rng: np.random.Generator) -> bool:
-    """One social influence event with a single neighbor (the most admired,
-    falling back to the most similar).
+    """One social influence event with the consumer's influence target.
 
     The effect alternates per agent between value influence (pull the
     ideal toward the neighbor's) and spatial approach (navigate toward the
@@ -259,14 +240,11 @@ def interact_socially(consumer: Consumer, world: "World",
     frustration counters reset. No neighbors: no-op.
     """
     cfg = world.config
-    labels = categorize_neighbors(consumer, world.network, world.consumers)
-    if not labels:
+    target_id = influence_target(consumer, world.network, world.consumers)
+    if target_id is None:
         return False
-    target_id = labels.get("most_admired", labels["most_similar"])
     neighbor = world.consumers[target_id]
     if consumer.approach_next:
-        consumer.nav_prior = consumer.expectation
-        consumer.expectation = Expectation.SOCIAL_NAVIGATION
         consumer.nav_target = neighbor.location
         consumer.nav_budget = 4 * max(1, manhattan(consumer.location, neighbor.location)) + 8
     else:
@@ -298,16 +276,13 @@ def _navigation_step(consumer: Consumer, world: "World") -> None:
     current = manhattan(consumer.location, target)
     for nb in space.von_neumann_neighbors(consumer.location):
         if manhattan(nb, target) < current and space.consumer_at(nb) is None:
-            space.move_consumer(consumer.id, nb)
-            consumer.location = nb
+            space.move_consumer(consumer, nb)
             return
     # boxed in this cycle; try again next cycle
 
 
 def _exit_navigation(consumer: Consumer) -> None:
-    consumer.expectation = consumer.nav_prior or Expectation.NEUTRAL
     consumer.nav_target = None
-    consumer.nav_prior = None
     consumer.nav_budget = 0
 
 
@@ -315,28 +290,15 @@ def _exit_navigation(consumer: Consumer) -> None:
 # dissatisfaction, boredom, change
 
 
-def _reverse_expectation(expectation: Expectation) -> Expectation:
-    if expectation is Expectation.OPTIMISTIC:
-        return Expectation.PESSIMISTIC
-    if expectation is Expectation.PESSIMISTIC:
-        return Expectation.OPTIMISTIC
-    return expectation
-
-
 def _fire_dissatisfied(consumer: Consumer, world: "World") -> None:
-    # stop current actions, reverse expectations, then decide what to do
-    # instead (location change or value change, alternating per agent)
+    # stop current actions, then decide what to do instead (location change
+    # or value change, alternating per agent)
     consumer.dissatisfaction_count += 1
     if consumer.consuming is not None:
         instance = world.space.products[consumer.consuming.instance_id]
         instance.state = ProductState.AVAILABLE
         consumer.consuming = None
-    if consumer.expectation is Expectation.SOCIAL_NAVIGATION:
-        prior = consumer.nav_prior or Expectation.NEUTRAL
-        _exit_navigation(consumer)
-        consumer.expectation = _reverse_expectation(prior)
-    else:
-        consumer.expectation = _reverse_expectation(consumer.expectation)
+    _exit_navigation(consumer)
     consumer.recent_utilities.clear()
     _activate_change(consumer, world)
 
@@ -368,8 +330,7 @@ def _escape_step(consumer: Consumer, world: "World",
     if nb == consumer.location or space.consumer_at(nb) is not None:
         nb = _random_free_neighbor(consumer, world, rng)
     if nb is not None and nb != consumer.location:
-        if space.move_consumer(consumer.id, nb):
-            consumer.location = nb
+        space.move_consumer(consumer, nb)
     if consumer.escape_budget <= 0:
         consumer.active_situations.discard(Situation.CHANGE_LOCATION)
         consumer.escape_budget = 0
@@ -418,5 +379,4 @@ def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> Non
         nb = _random_free_neighbor(consumer, world, rng)
         if nb is None:
             return
-    if space.move_consumer(consumer.id, nb):
-        consumer.location = nb
+    space.move_consumer(consumer, nb)

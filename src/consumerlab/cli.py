@@ -49,14 +49,14 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(name: str, text: str, target_type) -> object:
+def _coerce(text: str, target_type) -> object:
     if target_type is bool:
         lowered = text.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ValueError(f"{name}: cannot parse '{text}' as a boolean")
+        raise ValueError(text)
     return target_type(text)
 
 
@@ -69,11 +69,15 @@ def build_config(config_path: str | None, flag_overrides: dict) -> RunConfig:
     if config_path:
         for key, text in parse_config_file(config_path).items():
             if key not in field_types:
-                raise ValueError(f"unknown configuration key: {key}")
+                raise ValueError(f"{config_path}: unknown configuration key: {key}")
             target = field_types[key]
             if isinstance(target, str):
                 target = type_map[target]
-            overrides[key] = _coerce(key, text, target)
+            try:
+                overrides[key] = _coerce(text, target)
+            except ValueError:
+                raise ValueError(f"{config_path}: {key}: cannot parse '{text}' "
+                                 f"as {target.__name__}") from None
     for key, value in flag_overrides.items():
         if value is not None:
             overrides[key] = value
@@ -139,7 +143,7 @@ def cmd_landscape(args) -> int:
     extra = [[fmt_float(distances[k]), str(int(t.type_id in max_set))]
              for k, t in enumerate(types)]
     products.write_type_csv(types, args.out,
-                            extra_header=",nearest_max_dist,is_max",
+                            extra_header=["nearest_max_dist", "is_max"],
                             extra_cells=extra, trailer=summary)
     print(message)
     return 0

@@ -11,16 +11,17 @@ cannot desynchronize the shared initialization of a pair.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from . import stats
-from .agents import Consumer, Expectation, act, evaluate_situations
+from .agents import Consumer, act, evaluate_situations
 from .cognition import AttractivenessState, SelfOrganizingMap
 from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
@@ -107,6 +108,8 @@ class RunConfig:
     def validate(self) -> list[str]:
         """Return a list of problems (empty when the config is usable)."""
         problems = []
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if self.cycles < 1:
             problems.append("cycles must be >= 1")
         if self.sample_every < 1:
@@ -146,6 +149,9 @@ class RunConfig:
             problems.append("utility_window must be >= 1")
         if self.coverage_cell_width <= 0:
             problems.append("coverage_cell_width must be positive")
+        if not abs(self.utility_slope) <= 100.0:
+            # the logistic utility overflows soon beyond this
+            problems.append("utility_slope must be in [-100, 100]")
         if self.min_type_distance < 0:
             problems.append("min_type_distance must be >= 0")
         for key in ("max_type_attempts", "relax_max_iter", "conception_nodes"):
@@ -161,6 +167,15 @@ class RunConfig:
                 problems.append(f"{key} must be in [0, 1]")
         if not self.som_radius_floor > 0.0:
             problems.append("som_radius_floor must be positive")
+        # the widths of the uniform draws: non-negative and finite
+        if not 0.0 <= self.som_weight_high - self.som_weight_low < math.inf:
+            problems.append("som_weight_high - som_weight_low must be "
+                            "finite and >= 0")
+        if not 0.0 <= 2.0 * self.perturb_magnitude < math.inf:
+            problems.append("perturb_magnitude must be finite and >= 0")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                problems.append(f"{f.name} must be finite")
         return problems
 
     def density_warnings(self) -> list[str]:
@@ -264,7 +279,6 @@ class World:
                     break
             else:
                 raise ConfigError(["consumer placement failed; density too high"])
-            self.space.place_consumer(cid, loc)
             # no map uses this draw, but rng_som is interleaved per
             # consumer: without it every experience map gets other weights
             rng_som.uniform(cfg.som_weight_low, cfg.som_weight_high,
@@ -272,11 +286,13 @@ class World:
             conception = SelfOrganizingMap.random_init(
                 cfg.conception_nodes, SIGNATURE_DIM + 1,
                 rng_som, cfg.som_weight_low, cfg.som_weight_high, **som_kwargs)
-            self.consumers.append(Consumer(
+            consumer = Consumer(
                 id=cid, location=loc, ideal=shared_ideal.copy(),
                 attract=AttractivenessState(conception, threshold=0.0,
                                             adapt_rate=cfg.threshold_rate),
-                recent_utilities=deque(maxlen=cfg.utility_window)))
+                recent_utilities=deque(maxlen=cfg.utility_window))
+            self.space.place_consumer(consumer)
+            self.consumers.append(consumer)
 
     # -- cycle loop -----------------------------------------------------------
 
@@ -324,7 +340,7 @@ class World:
         cfg = self.config
         self.space.audit(cfg.n_consumers, cfg.n_types * cfg.replicas_per_type)
         for consumer in self.consumers:
-            assert self.space.consumer_locations[consumer.id] == consumer.location, \
+            assert self.space.consumer_at(consumer.location) == consumer.id, \
                 f"consumer {consumer.id} location desync"
             assert np.all(np.isfinite(consumer.ideal)), \
                 f"consumer {consumer.id} ideal not finite"
@@ -351,7 +367,6 @@ class World:
             h.update(struct.pack("<iii", c.id, c.location.x, c.location.y))
             h.update(np.ascontiguousarray(c.ideal).tobytes())
             h.update(struct.pack("<d", c.attract.threshold))
-            h.update(struct.pack("<i", list(Expectation).index(c.expectation)))
             h.update(np.ascontiguousarray(c.attract.som.weights).tobytes())
         h.update(self.network.checksum().encode())
         return h.hexdigest()
@@ -587,8 +602,10 @@ def write_run_csv(result: RunResult, path: str) -> None:
 def read_run_samples(path: str) -> list[PeriodSample]:
     """Rebuild period samples from a run CSV; consumption totals are
     recomputed exactly as the simulation computed them. A row without ten
-    fields, or a cycle with fewer or more rows than the first cycle (a
-    truncated file), raises ValueError naming the file and line."""
+    fields or with a non-numeric cell, or a cycle with fewer or more rows
+    than the first cycle (a truncated file), raises ValueError naming the
+    file and line; a file with fewer than two sample cycles raises one
+    naming the file."""
     groups: dict[int, tuple[list[int], list[float], list[np.ndarray]]] = {}
     order: list[int] = []
     first_line: dict[int, int] = {}
@@ -604,15 +621,21 @@ def read_run_samples(path: str) -> list[PeriodSample]:
             if len(parts) != len(RUN_CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected "
                                  f"{len(RUN_CSV_HEADER)} fields, got {len(parts)}")
-            cycle = int(parts[0])
-            if cycle not in groups:
-                groups[cycle] = ([], [], [])
-                order.append(cycle)
-                first_line[cycle] = lineno
-            units, utility, ideals = groups[cycle]
-            units.append(int(parts[2]))
-            utility.append(float(parts[3]))
-            ideals.append(np.array([float(v) for v in parts[4:10]]))
+            try:
+                cycle = int(parts[0])
+                if cycle not in groups:
+                    groups[cycle] = ([], [], [])
+                    order.append(cycle)
+                    first_line[cycle] = lineno
+                units, utility, ideals = groups[cycle]
+                units.append(int(parts[2]))
+                utility.append(float(parts[3]))
+                ideals.append(np.array([float(v) for v in parts[4:10]]))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+    if len(order) < 2:
+        raise ValueError(f"{path}: {len(order)} sample cycles, need at "
+                         f"least two")
     samples = []
     for cycle in order:
         units, utility, ideals = groups[cycle]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import atomic_write_text, fmt_float
+from .serialize import fmt_float, write_csv
 
 N_VERTICES = 6
 MIN_EDGES = 5
@@ -400,23 +400,23 @@ def landscape_distances(types, radius: float | None = None) -> tuple[list[int], 
 # ---------------------------------------------------------------------------
 # type-set CSV
 
-TYPE_CSV_HEADER = "type_id,edge_count,utility,s0,s1,s2,s3,s4,s5"
+TYPE_CSV_HEADER = ["type_id", "edge_count", "utility",
+                   "s0", "s1", "s2", "s3", "s4", "s5"]
 
 
-def write_type_csv(types, path: str, extra_header: str = "",
-                   extra_cells=None, trailer: str | None = None) -> None:
+def write_type_csv(types, path: str, extra_header=(), extra_cells=None,
+                   trailer: str | None = None) -> None:
     """Write one row per type; reals carry 17 significant digits so a
-    re-read reproduces them exactly."""
-    lines = [TYPE_CSV_HEADER + extra_header]
+    re-read reproduces them exactly. `extra_header` names the columns of
+    `extra_cells`, one list of cells per type."""
+    rows = []
     for k, t in enumerate(types):
         cells = [str(t.type_id), str(t.topology.edge_count), fmt_float(t.utility)]
         cells.extend(fmt_float(float(s)) for s in t.signature)
         if extra_cells is not None:
             cells.extend(extra_cells[k])
-        lines.append(",".join(cells))
-    if trailer is not None:
-        lines.append(trailer)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows.append(cells)
+    write_csv(path, TYPE_CSV_HEADER + list(extra_header), rows, trailer)
 
 
 def read_type_rows(path: str) -> list[dict]:

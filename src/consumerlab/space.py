@@ -4,15 +4,22 @@ product proximity field that reduces foraging to gradient ascent/descent.
 Locations are (x, y) with 0 <= x < width, 0 <= y < height. Neighbor order
 is fixed N, E, S, W with north at y - 1; movement and tie-breaking depend
 on that order, so it must never change.
+
+A consumer's cell is recorded once, in `Consumer.location`; the space keeps
+only the cell -> consumer id index, and placing or moving a consumer
+updates both.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .agents import Consumer
 
 
 class GridLocation(NamedTuple):
@@ -50,7 +57,6 @@ class ConsumptionSpace:
         self.height = height
         self.radius = proximity_radius
         self.field = np.zeros((height, width))
-        self.consumer_locations: dict[int, GridLocation] = {}
         self._consumer_at: dict[GridLocation, int] = {}
         self.products: dict[int, ProductInstance] = {}
         self._product_at: dict[GridLocation, int] = {}
@@ -82,25 +88,24 @@ class ConsumptionSpace:
     def product_at(self, loc: GridLocation) -> int | None:
         return self._product_at.get(loc)
 
-    def place_consumer(self, consumer_id: int, loc: GridLocation) -> None:
+    def place_consumer(self, consumer: "Consumer") -> None:
+        """Occupy the consumer's current cell."""
+        loc = consumer.location
         if not self.in_bounds(loc):
             raise ValueError(f"{loc} out of bounds")
         if loc in self._consumer_at:
             raise ValueError(f"cell {loc} already holds a consumer")
-        if consumer_id in self.consumer_locations:
-            raise ValueError(f"consumer {consumer_id} already placed")
-        self.consumer_locations[consumer_id] = loc
-        self._consumer_at[loc] = consumer_id
+        self._consumer_at[loc] = consumer.id
 
-    def move_consumer(self, consumer_id: int, to: GridLocation) -> bool:
-        """Move a consumer to an adjacent cell.
+    def move_consumer(self, consumer: "Consumer", to: GridLocation) -> bool:
+        """Move a consumer to an adjacent cell, updating `consumer.location`.
 
         Returns True when accepted; a cell occupied by another consumer
         rejects the move and leaves the position unchanged. Moving to the
         current location is an accepted no-op. A non-adjacent target is a
         caller bug and raises.
         """
-        current = self.consumer_locations[consumer_id]
+        current = consumer.location
         if to == current:
             return True
         if manhattan(current, to) != 1 or not self.in_bounds(to):
@@ -108,8 +113,8 @@ class ConsumptionSpace:
         if to in self._consumer_at:
             return False
         del self._consumer_at[current]
-        self._consumer_at[to] = consumer_id
-        self.consumer_locations[consumer_id] = to
+        self._consumer_at[to] = consumer.id
+        consumer.location = to
         return True
 
     def place_product(self, instance: ProductInstance) -> None:
@@ -249,11 +254,10 @@ class ConsumptionSpace:
 
     def audit(self, expected_consumers: int | None = None,
               expected_products: int | None = None) -> None:
-        """Check occupancy consistency; raises AssertionError on violation."""
-        assert len(self._consumer_at) == len(self.consumer_locations), \
-            "two consumers share a cell"
-        for cid, loc in self.consumer_locations.items():
-            assert self._consumer_at.get(loc) == cid, f"occupancy desync for {cid}"
+        """Check occupancy consistency; raises AssertionError on violation.
+        That each consumer's cell maps back to it is checked by the owner
+        of the consumers (`World.audit`)."""
+        for loc, cid in self._consumer_at.items():
             assert self.in_bounds(loc), f"consumer {cid} out of bounds"
         assert len(self._product_at) == len(self.products), \
             "two products share a cell"
@@ -262,7 +266,7 @@ class ConsumptionSpace:
                 f"product map desync for {pid}"
             assert self.in_bounds(inst.location), f"product {pid} out of bounds"
         if expected_consumers is not None:
-            assert len(self.consumer_locations) == expected_consumers, \
+            assert len(self._consumer_at) == expected_consumers, \
                 "consumer count drifted"
         if expected_products is not None:
             assert len(self.products) == expected_products, \

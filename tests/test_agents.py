@@ -6,11 +6,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from consumerlab.agents import (ActiveConsumption, Consumer, Expectation,
-                                Situation, act, adjust_values,
-                                categorize_neighbors, complete_consumption,
-                                evaluate_situations, interact_socially,
-                                try_begin_consumption)
+from consumerlab.agents import (ActiveConsumption, Consumer, Situation, act,
+                                adjust_values, complete_consumption,
+                                evaluate_situations, influence_target,
+                                interact_socially, try_begin_consumption)
 from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
 from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph
@@ -69,7 +68,7 @@ def make_consumer(cid=0, x=5, y=5, ideal=None, world=None, threshold=-1.0,
     for _ in range(3):
         consumer.attract.learn(np.full(6, 1.0), 0.5)
     if world is not None:
-        world.space.place_consumer(cid, consumer.location)
+        world.space.place_consumer(consumer)
         world.consumers[cid] = consumer
     return consumer
 
@@ -118,7 +117,7 @@ def test_interaction_requires_frustration_and_no_consumption():
     c = make_consumer(world=world)
     c.dissatisfaction_count = world.config.frustration_limit
     assert Situation.INTERACT_SOCIALLY in evaluate_situations(c, world)
-    c.consuming = ActiveConsumption(0, 3, 0.0)
+    c.consuming = ActiveConsumption(0, 3)
     assert Situation.INTERACT_SOCIALLY not in evaluate_situations(c, world)
 
 
@@ -174,32 +173,21 @@ def test_friend_search_preempts_interaction():
     assert c.dissatisfaction_count == 10
 
 
-def test_dissatisfied_reverses_expectation_and_aborts_consumption():
+def test_dissatisfied_aborts_consumption():
     world = StubWorld(types=[make_type()], product_cells=[(0, 5, 5)])
     c = make_consumer(world=world)
     instance = world.space.products[0]
     instance.state = ProductState.BEING_CONSUMED
-    c.consuming = ActiveConsumption(0, 3, 0.2)
-    c.expectation = Expectation.OPTIMISTIC
+    c.consuming = ActiveConsumption(0, 3)
     c.recent_utilities.append(-0.5)
     evaluate_situations(c, world)
     act(c, world, np.random.default_rng(0))
-    assert c.expectation is Expectation.PESSIMISTIC
     assert c.consuming is None
     assert instance.state is ProductState.AVAILABLE
     assert c.dissatisfaction_count == 1
     assert len(c.recent_utilities) == 0
     assert (Situation.CHANGE_LOCATION in c.active_situations
             or Situation.CHANGE_VALUES in c.active_situations)
-
-
-def test_dissatisfied_neutral_expectation_unchanged():
-    world = StubWorld()
-    c = make_consumer(world=world)
-    c.recent_utilities.append(-0.5)
-    evaluate_situations(c, world)
-    act(c, world, np.random.default_rng(0))
-    assert c.expectation is Expectation.NEUTRAL
 
 
 def test_dissatisfaction_alternates_change_kinds():
@@ -256,7 +244,6 @@ def test_completion_updates_everything():
     world = StubWorld(types=[ptype], product_cells=[(0, 5, 5)])
     c = make_consumer(world=world, ideal=np.full(6, 0.7), threshold=-1.0)
     assert try_begin_consumption(c, world.space.products[0], world)
-    predicted = c.consuming.predicted_utility
     before_gap = np.linalg.norm(c.ideal - ptype.signature)
     threshold_before = c.attract.threshold
     realized = complete_consumption(c, world)
@@ -266,9 +253,6 @@ def test_completion_updates_everything():
     assert c.utility_total == realized
     assert world.respawned == [0]
     assert c.recent_utilities[-1] == realized
-    # utility above prediction: optimism
-    assert c.expectation is (Expectation.OPTIMISTIC if realized >= predicted
-                             else Expectation.PESSIMISTIC)
     # positive utility pulls the ideal toward the signature
     assert np.linalg.norm(c.ideal - ptype.signature) < before_gap
     assert c.attract.threshold != threshold_before
@@ -343,34 +327,25 @@ def test_adjust_values_validates_eta():
 
 
 # ---------------------------------------------------------------------------
-# neighbor categorization
-
-
-def test_single_neighbor_gets_all_labels():
-    world = StubWorld(social=True)
-    c = make_consumer(cid=0, world=world)
-    n = make_consumer(cid=1, x=10, y=10, world=world)
-    n.recent_utilities.append(0.3)
-    world.network.add_tie(0, 1, 0.5)
-    labels = categorize_neighbors(c, world.network, world.consumers)
-    assert labels == {"most_similar": 1, "most_dissimilar": 1,
-                      "most_admired": 1, "least_admired": 1}
+# influence target
 
 
 def test_two_neighbor_categorization_exhaustive():
+    # every history case of a similar neighbor (1) and a dissimilar one (2)
     world = StubWorld(social=True)
     c = make_consumer(cid=0, world=world, ideal=np.zeros(6))
     near = make_consumer(cid=1, x=10, y=10, world=world, ideal=np.full(6, 0.1))
     far = make_consumer(cid=2, x=12, y=12, world=world, ideal=np.full(6, 2.0))
-    near.recent_utilities.extend([0.1, 0.2])
-    far.recent_utilities.extend([0.8, 0.9])
     world.network.add_tie(0, 1, 0.5)
     world.network.add_tie(0, 2, 0.5)
-    labels = categorize_neighbors(c, world.network, world.consumers)
-    assert labels["most_similar"] == 1
-    assert labels["most_dissimilar"] == 2
-    assert labels["most_admired"] == 2
-    assert labels["least_admired"] == 1
+    cases = [((), (), 1), ((0.1,), (), 1), ((), (-0.5,), 2),
+             ((0.1, 0.2), (0.8, 0.9), 2), ((0.8, 0.9), (0.1, 0.2), 1)]
+    for near_history, far_history, expected in cases:
+        near.recent_utilities.clear()
+        near.recent_utilities.extend(near_history)
+        far.recent_utilities.clear()
+        far.recent_utilities.extend(far_history)
+        assert influence_target(c, world.network, world.consumers) == expected
 
 
 def test_categorization_ties_break_to_lower_id():
@@ -380,15 +355,18 @@ def test_categorization_ties_break_to_lower_id():
     b = make_consumer(cid=2, x=12, y=12, world=world, ideal=np.ones(6))
     world.network.add_tie(0, 1, 0.5)
     world.network.add_tie(0, 2, 0.5)
-    labels = categorize_neighbors(c, world.network, world.consumers)
-    assert labels["most_similar"] == 1
-    assert labels["most_dissimilar"] == 1
+    # equally similar
+    assert influence_target(c, world.network, world.consumers) == 1
+    # equally admired
+    a.recent_utilities.append(0.4)
+    b.recent_utilities.append(0.4)
+    assert influence_target(c, world.network, world.consumers) == 1
 
 
-def test_no_ties_yields_empty_labels():
+def test_no_ties_yields_no_target():
     world = StubWorld(social=True)
     c = make_consumer(world=world)
-    assert categorize_neighbors(c, world.network, world.consumers) == {}
+    assert influence_target(c, world.network, world.consumers) is None
 
 
 def test_admiration_requires_history():
@@ -396,9 +374,8 @@ def test_admiration_requires_history():
     c = make_consumer(cid=0, world=world)
     make_consumer(cid=1, x=10, y=10, world=world)
     world.network.add_tie(0, 1, 0.5)
-    labels = categorize_neighbors(c, world.network, world.consumers)
-    assert "most_admired" not in labels
-    assert "most_similar" in labels
+    # no neighbor has history: the most similar one is the target
+    assert influence_target(c, world.network, world.consumers) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +414,25 @@ def test_spatial_approach_enters_navigation():
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = True
     interact_socially(c, world, np.random.default_rng(0))
-    assert c.expectation is Expectation.SOCIAL_NAVIGATION
     assert c.nav_target == GridLocation(15, 5)
 
 
-def test_navigation_walks_to_adjacency_and_restores_expectation():
+def test_navigation_walks_to_adjacency():
     world = StubWorld(social=True)
     c = make_consumer(cid=0, x=5, y=5, world=world)
     n = make_consumer(cid=1, x=10, y=5, world=world)
     n.recent_utilities.append(0.5)
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = True
-    c.expectation = Expectation.OPTIMISTIC
     rng = np.random.default_rng(0)
     interact_socially(c, world, rng)
     for _ in range(20):
         evaluate_situations(c, world)
         act(c, world, rng)
-        if c.expectation is not Expectation.SOCIAL_NAVIGATION:
+        if c.nav_target is None:
             break
-    assert c.expectation is Expectation.OPTIMISTIC
+    assert c.nav_target is None
+    assert c.nav_budget == 0
     assert abs(c.location.x - 10) + abs(c.location.y - 5) <= 1
 
 
@@ -468,9 +444,9 @@ def test_interaction_alternates_effects():
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = False
     interact_socially(c, world, np.random.default_rng(0))
-    assert c.expectation is not Expectation.SOCIAL_NAVIGATION  # value effect
+    assert c.nav_target is None                   # value effect
     interact_socially(c, world, np.random.default_rng(0))
-    assert c.expectation is Expectation.SOCIAL_NAVIGATION       # approach
+    assert c.nav_target == GridLocation(20, 20)   # approach
 
 
 def test_interaction_without_neighbors_is_noop():

@@ -48,6 +48,8 @@ def test_gen_types_deterministic_bytes(tmp_path, capsys):
     assert main(["gen-types", "--seed", "7", "--count", "10",
                  "--out", str(out_b)]) == 0
     assert read(out_a) == read(out_b)
+    assert hashlib.sha256(out_a.read_bytes()).hexdigest() == \
+        "fdd928da137fda8c77c803469d940f4e22bb8d97240ada245077627a2fe8ab03"
     rows = read_type_rows(str(out_a))
     assert len(rows) == 10
     assert "pairwise" in capsys.readouterr().out
@@ -112,6 +114,14 @@ def test_landscape_fdc_round_trips_through_csv(tmp_path):
     utilities = [r["utility"] for r in rows]
     distances = [float(r["extra"]["nearest_max_dist"]) for r in rows]
     assert stats.fdc(utilities, distances) == reported
+
+
+def test_landscape_golden_bytes(tmp_path):
+    out = tmp_path / "scape.csv"
+    assert main(["landscape", "--seed", "7", "--samples", "64",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "af68c6703d7880113b62604a2dbd39dab4b8fbf1f8fd5ace1b8bd0a8209a8c26"
 
 
 def test_landscape_rejects_tiny_sample(tmp_path):
@@ -208,13 +218,56 @@ GOLDEN_EXPERIMENT = {
 }
 
 
-def test_experiment_golden_bytes(tmp_path, config_file):
-    out_dir = tmp_path / "golden"
+# 1000 cycles on a denser world with a low frustration limit, fast tie
+# decay and a two-consumption utility window, so the social rules fire and
+# the two arms' run CSVs differ
+LONG_CONFIG = """
+width = 61
+height = 61
+n_consumers = 12
+n_types = 8
+replicas_per_type = 2
+ws_degree = 2
+cycles = 1000
+frustration_limit = 2
+tie_decay = 0.005
+utility_window = 2
+"""
+
+GOLDEN_EXPERIMENT_LONG = {
+    "kde_mean_coverage_nonsocial.csv": "076f80aca60d95f4183f7dbe0dec65c496c22f9cb5ea7b068c79f757356a4540",
+    "kde_mean_coverage_social.csv": "03ae955de34a2b58960b0358501f1a9ff9faeb9617973594539023da8bb3a4ec",
+    "kde_mean_path_length_nonsocial.csv": "a6e028b7362666e1e5c91e94489817a71691298ef5c9a4e7de3b3d69735d5276",
+    "kde_mean_path_length_social.csv": "663c4f05152da62d5625d96ace340d0a763138286f1f6875126afd6664b824dc",
+    "kde_mean_units_nonsocial.csv": "69012dce9860345f0c664a4a6e85c74e88ceec75aef3e694ebe7917c9e4ba2b3",
+    "kde_mean_units_social.csv": "04658810a49c9c58882a411274a8fc85b84ff9d07b590a420df7fd674b0e521c",
+    "report.csv": "94f037a8c3b6e7b3b382a7d0255a4cc9d233dc7267303cd8cdb0777c903740e3",
+    "run_11_nonsocial.csv": "7b188066260050b2399b47da966e4c49566588e590ea2a85c0cc198ca319bbb5",
+    "run_11_social.csv": "e9383c60b5c71412b52a2d6e83e4e8f221944d8e0bfa95341f455cd5a3905084",
+    "run_12_nonsocial.csv": "a0991df74943876a0d679ce210f4c65edfa24d581533bad08f761439df27a350",
+    "run_12_social.csv": "bea4e4c267974139f981b57d583e45dca783169694bd66f8cf8555acdc7d4718",
+    "summary.csv": "3e8a9842cfc5c13fd50ba8329d719085319d57f34d57a6ec87270b7db6ac944b",
+}
+
+
+def experiment_digests(out_dir, config_path):
     assert main(["experiment", "--pairs", "2", "--seed-base", "11",
-                 "--config", config_file, "--out-dir", str(out_dir)]) == 0
-    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in sorted(os.listdir(out_dir))}
-    assert digests == GOLDEN_EXPERIMENT
+                 "--config", config_path, "--out-dir", str(out_dir)]) == 0
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in sorted(os.listdir(out_dir))}
+
+
+def test_experiment_golden_bytes(tmp_path, config_file):
+    assert experiment_digests(tmp_path / "golden", config_file) \
+        == GOLDEN_EXPERIMENT
+
+
+def test_experiment_golden_bytes_long(tmp_path):
+    path = tmp_path / "long.cfg"
+    path.write_text(LONG_CONFIG)
+    digests = experiment_digests(tmp_path / "golden", str(path))
+    assert digests == GOLDEN_EXPERIMENT_LONG
+    assert digests["run_11_social.csv"] != digests["run_11_nonsocial.csv"]
 
 
 def test_experiment_single_pair_marks_insufficient_n(tmp_path, config_file):
@@ -250,10 +303,18 @@ def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys):
                  "--config", config_file, "--out-dir", str(out_dir)]) == 0
     victim = out_dir / "run_8_social.csv"
     lines = read(victim).splitlines(keepends=True)
-    victim.write_text("".join(lines[:-2]))
-    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
-                 "--out", str(tmp_path / "r.csv")]) == 1
-    assert "run_8_social.csv" in capsys.readouterr().err
+    bad_cell = lines[3].split(",")
+    bad_cell[2] = "x"
+    # truncated, a non-numeric cell on line 4, header only
+    for text, named in (("".join(lines[:-2]), "run_8_social.csv:"),
+                        ("".join(lines[:3] + [",".join(bad_cell)] + lines[4:]),
+                         "run_8_social.csv:4"),
+                        (lines[0], "run_8_social.csv")):
+        victim.write_text(text)
+        assert main(["analyze", "--in-dir", str(out_dir), "--config",
+                     config_file, "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert named in err, err
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +335,16 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 1
 
 
-def test_malformed_config_line_rejected(tmp_path):
+def test_malformed_config_line_rejected(tmp_path, capsys):
     path = tmp_path / "c.cfg"
-    path.write_text("just some words\n")
-    assert main(["run", "--seed", "1", "--config", str(path),
-                 "--out", str(tmp_path / "x.csv")]) == 1
+    for text, named in (("just some words\n", "c.cfg:1"),
+                        ("cycles = lots\n", "cycles"),
+                        ("social = maybe\n", "social")):
+        path.write_text(text)
+        assert main(["run", "--seed", "1", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "c.cfg" in err and named in err, err
 
 
 def test_flags_override_config_file(tmp_path, config_file):

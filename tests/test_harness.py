@@ -6,6 +6,8 @@ kept small so the whole module stays fast.
 """
 
 import hashlib
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from consumerlab.harness import (ConfigError, RunConfig, World, batch,
                                  write_run_csv, write_summary_csv,
                                  SUMMARY_HEADER)
 from consumerlab.products import signature_matrix
+from consumerlab.space import GridLocation
 
 # small but structurally faithful configuration: same densities as the
 # reference setup at roughly 1/16 the area
@@ -56,6 +59,17 @@ def test_validate_catches_bad_configs():
     assert RunConfig(relax_step=0.0).validate()
     assert RunConfig(relax_max_iter=0).validate()
     assert RunConfig(max_type_attempts=0).validate()
+    assert RunConfig(seed=-1).validate()
+    assert RunConfig(utility_slope=-101.0).validate()
+    assert RunConfig(som_weight_low=1.0, som_weight_high=0.5).validate()
+    assert RunConfig(som_weight_low=-1e308, som_weight_high=1e308).validate()
+    assert RunConfig(perturb_magnitude=-0.1).validate()
+    assert RunConfig(perturb_magnitude=1e308).validate()
+    reals = [f.name for f in fields(RunConfig) if f.type == "float"]
+    assert "respawn_sigma" in reals
+    for name in reals:
+        for bad in (math.nan, math.inf, -math.inf):
+            assert f"{name} must be finite" in RunConfig(**{name: bad}).validate()
 
 
 def test_density_warning_outside_reference_band():
@@ -111,6 +125,17 @@ def test_primed_experience_maps_golden():
         h.update(np.ascontiguousarray(consumer.attract.som.weights).tobytes())
     assert h.hexdigest() == \
         "500c706468d4524b1ab1d9ec7f6d4436b8483b896b3ae4daa2bf8582b97cc6bb"
+
+
+def test_audit_catches_location_desync():
+    world = init_world(small())
+    world.audit()
+    consumer = world.consumers[0]
+    x, y = consumer.location
+    # the record moves, the occupancy index does not
+    consumer.location = GridLocation(x, y + 1 if y == 0 else y - 1)
+    with pytest.raises(AssertionError, match="location desync"):
+        world.audit()
 
 
 def test_priming_trains_each_map_once_per_type():

@@ -1,6 +1,8 @@
 """Grid world checks: neighborhoods, occupancy, the proximity field and
 product respawn."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -43,34 +45,49 @@ def test_edge_cell_has_three_neighbors():
 # movement and occupancy
 
 
+def place(space, cid, x, y):
+    consumer = SimpleNamespace(id=cid, location=GridLocation(x, y))
+    space.place_consumer(consumer)
+    return consumer
+
+
 def test_move_into_empty_neighbor_accepted():
     space = make_space()
-    space.place_consumer(0, GridLocation(3, 3))
-    assert space.move_consumer(0, GridLocation(3, 4)) is True
-    assert space.consumer_locations[0] == GridLocation(3, 4)
+    c = place(space, 0, 3, 3)
+    assert space.move_consumer(c, GridLocation(3, 4)) is True
+    assert c.location == GridLocation(3, 4)
+    assert space.consumer_at(GridLocation(3, 4)) == 0
     assert space.consumer_at(GridLocation(3, 3)) is None
 
 
 def test_move_into_occupied_cell_rejected():
     space = make_space()
-    space.place_consumer(0, GridLocation(3, 3))
-    space.place_consumer(1, GridLocation(3, 4))
-    assert space.move_consumer(0, GridLocation(3, 4)) is False
-    assert space.consumer_locations[0] == GridLocation(3, 3)
+    c = place(space, 0, 3, 3)
+    place(space, 1, 3, 4)
+    assert space.move_consumer(c, GridLocation(3, 4)) is False
+    assert c.location == GridLocation(3, 3)
+    assert space.consumer_at(GridLocation(3, 4)) == 1
 
 
 def test_move_to_current_location_is_accepted_noop():
     space = make_space()
-    space.place_consumer(0, GridLocation(3, 3))
-    assert space.move_consumer(0, GridLocation(3, 3)) is True
-    assert space.consumer_locations[0] == GridLocation(3, 3)
+    c = place(space, 0, 3, 3)
+    assert space.move_consumer(c, GridLocation(3, 3)) is True
+    assert c.location == GridLocation(3, 3)
 
 
 def test_move_to_non_adjacent_cell_raises():
     space = make_space()
-    space.place_consumer(0, GridLocation(3, 3))
+    c = place(space, 0, 3, 3)
     with pytest.raises(ValueError):
-        space.move_consumer(0, GridLocation(5, 3))
+        space.move_consumer(c, GridLocation(5, 3))
+
+
+def test_two_consumers_cannot_share_a_cell():
+    space = make_space()
+    place(space, 0, 3, 3)
+    with pytest.raises(ValueError):
+        place(space, 1, 3, 3)
 
 
 def test_two_products_cannot_share_a_cell():
