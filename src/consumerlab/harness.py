@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -425,27 +426,41 @@ METRIC_NAMES = ("mean_units", "mean_utility", "utility_per_unit",
                 "mean_coverage", "mean_path_length")
 
 
-def value_coverage(trajectory, cell_width: float) -> int:
-    """Distinct cells of an axis-aligned 6-D lattice (edge `cell_width`)
-    visited by a sampled ideal-vector trajectory."""
+def _trajectories(trajectory) -> np.ndarray:
     traj = np.asarray(trajectory, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] < 1:
-        raise ValueError("trajectory must be a non-empty (n, d) array")
+    if traj.ndim not in (2, 3) or traj.shape[-2] < 1:
+        raise ValueError("trajectory must be a non-empty (T, d) array or a "
+                         "batch (n, T, d) of them")
+    return traj
+
+
+def value_coverage(trajectory, cell_width: float):
+    """Distinct cells of an axis-aligned 6-D lattice (edge `cell_width`)
+    visited by a sampled ideal-vector trajectory (T, d): an int, or one
+    per trajectory for a batch (n, T, d)."""
+    traj = _trajectories(trajectory)
     if cell_width <= 0.0:
         raise ValueError("cell_width must be positive")
     cells = np.floor(traj / cell_width).astype(np.int64)
-    return int(np.unique(cells, axis=0).shape[0])
+    # sort each trajectory's cells lexicographically; a cell is new where it
+    # differs from its predecessor
+    order = np.lexsort(np.moveaxis(cells, -1, 0), axis=-1)
+    cells = np.take_along_axis(cells, order[..., None], axis=-2)
+    distinct = 1 + np.any(cells[..., 1:, :] != cells[..., :-1, :],
+                          axis=-1).sum(axis=-1)
+    return int(distinct) if traj.ndim == 2 else distinct
 
 
-def value_path_length(trajectory) -> float:
-    """Sum of Euclidean distances between consecutive sampled ideals."""
-    traj = np.asarray(trajectory, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] < 1:
-        raise ValueError("trajectory must be a non-empty (n, d) array")
-    if traj.shape[0] == 1:
-        return 0.0
-    diffs = np.diff(traj, axis=0)
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).sum())
+def value_path_length(trajectory):
+    """Sum of Euclidean distances between consecutive sampled ideals of a
+    trajectory (T, d): a float, or one per trajectory for a batch
+    (n, T, d)."""
+    traj = _trajectories(trajectory)
+    diffs = np.diff(traj, axis=-2)
+    # each trajectory's segment lengths are one contiguous row, so the
+    # batch sums them exactly as a single trajectory is summed
+    lengths = np.sqrt((diffs * diffs).sum(axis=-1)).sum(axis=-1)
+    return float(lengths) if traj.ndim == 2 else lengths
 
 
 def run_metrics(samples: list[PeriodSample], config: RunConfig) -> RunMetrics:
@@ -453,16 +468,13 @@ def run_metrics(samples: list[PeriodSample], config: RunConfig) -> RunMetrics:
     the transient window (first `transient_cycles` cycles)."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    n_consumers = len(samples[0].units)
     total_units = np.array([s.total_units for s in samples], dtype=float)
     total_utility = np.array([s.total_utility for s in samples], dtype=float)
     overall_units = sum(s.total_units for s in samples)
     overall_utility = sum(s.total_utility for s in samples)
-    per_consumer = [np.array([s.ideals[i] for s in samples])
-                    for i in range(n_consumers)]
-    coverage = [value_coverage(traj, config.coverage_cell_width)
-                for traj in per_consumer]
-    paths = [value_path_length(traj) for traj in per_consumer]
+    trajectories = np.stack([s.ideals for s in samples], axis=1)  # (n, T, 6)
+    coverage = value_coverage(trajectories, config.coverage_cell_width)
+    paths = value_path_length(trajectories)
     steady = [k for k, s in enumerate(samples) if s.cycle > config.transient_cycles]
     if len(steady) >= 2:
         xs = np.array([samples[k].cycle for k in steady], dtype=float)
@@ -599,13 +611,76 @@ def write_run_csv(result: RunResult, path: str) -> None:
     write_csv(path, RUN_CSV_HEADER, rows)
 
 
+# one run CSV row on the fast path; consumer_id is read but not parsed, as
+# the line parser ignores it
+_RUN_ROW_DTYPE = np.dtype([("cycle", np.int64), ("consumer_id", "U1"),
+                           ("units", np.int64), ("utility", np.float64),
+                           ("ideals", np.float64, (SIGNATURE_DIM,))])
+# the characters the program writes in a run CSV body: in it, numpy parses
+# a number exactly as int() and float() do; outside it they can differ
+# (numpy strips '\x1c' around a number, Python rejects it)
+_RUN_BODY_ALPHABET = b"0123456789+-.e,\n"
+
+
 def read_run_samples(path: str) -> list[PeriodSample]:
     """Rebuild period samples from a run CSV; consumption totals are
-    recomputed exactly as the simulation computed them. A row without ten
-    fields or with a non-numeric cell, or a cycle with fewer or more rows
-    than the first cycle (a truncated file), raises ValueError naming the
-    file and line; a file with fewer than two sample cycles raises one
-    naming the file."""
+    recomputed exactly as the simulation computed them.
+
+    A body in the program's own alphabet is parsed in one numpy pass and
+    kept when it is two or more contiguous blocks of one length with
+    distinct cycles, as the program writes it. Any other body, including
+    every malformed one, goes through `read_run_lines`, which returns the
+    same samples or raises its error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.readline().strip().split(",") != RUN_CSV_HEADER:
+            raise ValueError(f"{path}: unexpected run CSV header")
+        rows = _parse_run_body(fh)
+    if rows is None:
+        return read_run_lines(path)
+    cycles = rows["cycle"]
+    starts = np.flatnonzero(cycles[1:] != cycles[:-1]) + 1
+    n_cycles = starts.size + 1
+    n = rows.size // n_cycles
+    if (n_cycles < 2 or rows.size != n_cycles * n
+            or not np.array_equal(starts, n * np.arange(1, n_cycles))
+            or np.unique(cycles[::n]).size != n_cycles):
+        return read_run_lines(path)
+    ideals = np.ascontiguousarray(rows["ideals"]).reshape(
+        n_cycles, n, SIGNATURE_DIM)
+    return [make_sample(cycle, units, utility, period_ideals)
+            for cycle, units, utility, period_ideals in zip(
+                cycles[::n].tolist(), rows["units"].reshape(n_cycles, n).tolist(),
+                rows["utility"].reshape(n_cycles, n).tolist(), ideals)]
+
+
+def _parse_run_body(fh) -> Optional[np.ndarray]:
+    """The rows of a run CSV body from the open file's position on, in one
+    numpy pass; None when the body strays from the program's alphabet or
+    does not parse."""
+    body_start = fh.tell()
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if chunk.encode().translate(None, _RUN_BODY_ALPHABET):
+            return None
+    fh.seek(body_start)
+    try:
+        with warnings.catch_warnings():
+            # an empty body warns, and numpy < 2 parses '1.0' as an int with
+            # only a warning: leave both to the line parser
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, dtype=_RUN_ROW_DTYPE, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+
+
+def read_run_lines(path: str) -> list[PeriodSample]:
+    """The line-by-line run CSV parser, and the reference for
+    `read_run_samples`. Each cycle's rows form one contiguous block; blank
+    lines are skipped. A row without ten fields or with a non-numeric cell,
+    a cycle that reappears after another cycle's rows, or a cycle with
+    fewer or more rows than the first cycle (a truncated file), raises
+    ValueError naming the file and line; a file with fewer than two sample
+    cycles raises one naming the file."""
     groups: dict[int, tuple[list[int], list[float], list[np.ndarray]]] = {}
     order: list[int] = []
     first_line: dict[int, int] = {}
@@ -623,6 +698,9 @@ def read_run_samples(path: str) -> list[PeriodSample]:
                                  f"{len(RUN_CSV_HEADER)} fields, got {len(parts)}")
             try:
                 cycle = int(parts[0])
+                if order and cycle != order[-1] and cycle in groups:
+                    raise ValueError(f"cycle {cycle} reappears after cycle "
+                                     f"{order[-1]}")
                 if cycle not in groups:
                     groups[cycle] = ([], [], [])
                     order.append(cycle)

@@ -13,8 +13,6 @@ import struct
 
 import numpy as np
 
-REMOVAL_FLOOR = 0.05
-
 
 class TieGraph:
     """Undirected weighted graph over consumer ids 0..n-1."""
@@ -66,7 +64,7 @@ class TieGraph:
         current = self._adj[a].get(b, 0.0)
         self.add_tie(a, b, current + delta)
 
-    def decay_all(self, gamma: float, floor: float = REMOVAL_FLOOR) -> None:
+    def decay_all(self, gamma: float, floor: float) -> None:
         """Subtract gamma from every tie; ties falling below `floor` are
         removed."""
         for a, b, s in list(self.edges()):

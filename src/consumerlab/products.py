@@ -292,7 +292,8 @@ def generate_type_set(n: int, min_distance: float, rng: np.random.Generator,
     Candidates are drawn (and laid out in blocks, which does not change
     any layout) until enough pass the spacing audit; raises
     GenerationError (carrying the achieved count) once `max_attempts`
-    candidates have been examined, which signals an infeasible distance.
+    candidates have been examined: the distance is infeasible, or the
+    budget too small for it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -316,8 +317,9 @@ def generate_type_set(n: int, min_distance: float, rng: np.random.Generator,
             if attempts >= max_attempts:
                 break
     raise GenerationError(
-        f"generated {len(accepted)}/{n} types within {max_attempts} attempts; "
-        f"min_distance={min_distance} is likely too large", achieved=len(accepted))
+        f"max_type_attempts = {max_attempts} ran out: achieved "
+        f"{len(accepted)}/{n} types at min_distance={min_distance}",
+        achieved=len(accepted))
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +419,3 @@ def write_type_csv(types, path: str, extra_header=(), extra_cells=None,
             cells.extend(extra_cells[k])
         rows.append(cells)
     write_csv(path, TYPE_CSV_HEADER + list(extra_header), rows, trailer)
-
-
-def read_type_rows(path: str) -> list[dict]:
-    """Read type rows back (utility and signature as exact floats). Lines
-    starting with '#' are skipped."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            row = dict(zip(header, parts))
-            rows.append({
-                "type_id": int(row["type_id"]),
-                "edge_count": int(row["edge_count"]),
-                "utility": float(row["utility"]),
-                "signature": np.array([float(row[f"s{i}"]) for i in range(6)]),
-                "extra": {k: v for k, v in row.items()
-                          if k not in {"type_id", "edge_count", "utility"}
-                          and not (len(k) == 2 and k[0] == "s")},
-            })
-    return rows

@@ -1,11 +1,10 @@
 """Statistical engine: fitness-distance correlation, least squares, paired
-tests, kernel density estimates and quantile tables.
+tests and kernel density estimates.
 
 Everything here is a pure function of its inputs. The t distribution is
 evaluated through the regularized incomplete beta function (continued
-fraction), the signed-rank null distribution is enumerated exactly for
-small samples, and the normal inverse CDF uses Acklam's rational
-approximation with one Halley refinement step.
+fraction), and the signed-rank null distribution is enumerated exactly for
+small samples.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ __all__ = [
     "DensityTable",
     "gaussian_kde",
     "silverman_bandwidth",
-    "quantile_table",
-    "normal_quantile",
     "student_t_cdf",
     "write_report_csv",
     "write_density_csv",
@@ -283,7 +280,7 @@ def _normal_cdf(z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# density estimation and quantile tables
+# density estimation
 
 
 @dataclass(frozen=True)
@@ -319,52 +316,6 @@ def gaussian_kde(samples, bandwidth: float | None = None,
     z = (x[:, None] - s[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (s.size * h * math.sqrt(2.0 * math.pi))
     return DensityTable(x=x, density=density)
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Acklam's approximation plus one Halley
-    refinement; absolute error well below 1e-8)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # one Halley step against the exact CDF
-    e = _normal_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
-def quantile_table(samples) -> np.ndarray:
-    """Sorted sample values paired with standard normal quantiles at the
-    (i - 0.5)/n plotting positions. Returns an (n, 2) array of
-    (normal quantile, sample quantile) rows."""
-    s = np.sort(np.asarray(samples, dtype=float))
-    n = s.size
-    if n < 2:
-        raise ValueError("need at least two samples")
-    positions = (np.arange(1, n + 1) - 0.5) / n
-    normal_q = np.array([normal_quantile(float(p)) for p in positions])
-    return np.column_stack([normal_q, s])
 
 
 # ---------------------------------------------------------------------------

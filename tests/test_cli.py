@@ -9,7 +9,7 @@ import pytest
 
 from consumerlab import stats
 from consumerlab.cli import main, parse_config_file
-from consumerlab.products import read_type_rows
+from type_csv import read_type_rows
 
 # small world reused across CLI invocations (flags go through --config)
 SMALL_CONFIG = """
@@ -72,6 +72,21 @@ def test_gen_types_infeasible_distance_fails(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "999" in err and "achieved" in err
+    assert not os.path.exists(out)
+
+
+def test_gen_types_names_the_exhausted_attempt_budget(tmp_path, capsys):
+    # the distance is feasible (the default budget reaches 10 types at this
+    # seed); the attempt budget is the limit that runs out
+    out = tmp_path / "short.csv"
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text("max_type_attempts = 12\n")
+    code = main(["gen-types", "--seed", "7", "--count", "10",
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "max_type_attempts = 12 ran out" in err, err
+    assert "achieved 5/10" in err and "not satisfiable" not in err
     assert not os.path.exists(out)
 
 

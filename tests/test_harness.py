@@ -7,15 +7,17 @@ kept small so the whole module stays fast.
 
 import hashlib
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from consumerlab import stats
+from consumerlab import harness, stats
 from consumerlab.harness import (ConfigError, RunConfig, World, batch,
                                  init_world, make_sample, prime_consumers,
-                                 read_run_samples, run, run_metrics, run_pair,
+                                 read_run_lines, read_run_samples, run,
+                                 run_metrics, run_pair,
                                  value_coverage, value_path_length,
                                  write_run_csv, write_summary_csv,
                                  SUMMARY_HEADER)
@@ -262,6 +264,25 @@ def test_value_path_length_matches_pairwise_oracle():
     assert value_path_length(traj) == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 6), (3, 2, 6), (7, 60, 6), (2, 9000, 6)])
+def test_batched_measures_equal_per_trajectory(shape):
+    # a batch gives each trajectory exactly what it gives alone, including
+    # sums over more segments than one numpy reduction block
+    rng = np.random.default_rng(25)
+    batch = np.maximum(rng.uniform(0.3, 1.2, (shape[0], 1, 6))
+                       + np.cumsum(rng.normal(0.0, 0.02, shape), axis=1), 0.0)
+    coverage = value_coverage(batch, 0.05)
+    paths = value_path_length(batch)
+    assert coverage.shape == paths.shape == (shape[0],)
+    for traj, cov, path in zip(batch, coverage, paths):
+        alone_cov = value_coverage(traj, 0.05)
+        alone_path = value_path_length(traj)
+        assert type(alone_cov) is int and type(alone_path) is float
+        assert cov == alone_cov == np.unique(
+            np.floor(traj / 0.05).astype(np.int64), axis=0).shape[0]
+        assert path == alone_path
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -361,6 +382,95 @@ def test_run_csv_round_trip_bit_exact(tmp_path):
         assert parsed.total_utility == original.total_utility
     recomputed = run_metrics(samples, result.config)
     assert recomputed == result.metrics
+
+
+@pytest.fixture(scope="module")
+def run_csv_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("run") / "run.csv"
+    write_run_csv(run(small(cycles=100)), str(path))
+    return path.read_text()
+
+
+def _reader_outcome(reader, path):
+    try:
+        samples = reader(path)
+    except ValueError as err:
+        return str(err)
+    return [(s.cycle, s.units, s.utility, s.ideals.tolist(), s.total_units,
+             s.total_utility) for s in samples]
+
+
+def _edit_run_csv(lines, edit):
+    """Apply one edge-case edit to the body lines of a run CSV."""
+    lines = list(lines)
+    cells = lines[2].split(",")
+    if edit == "comment line":
+        lines.insert(2, "# a note")
+    elif edit == "eleven fields":
+        lines[2] += ",0"
+    elif edit == "nan units":
+        lines[2] = ",".join(cells[:2] + ["nan"] + cells[3:])
+    elif edit.startswith("units "):
+        lines[2] = ",".join(cells[:2] + [edit[len("units "):]] + cells[3:])
+    elif edit == "control char":
+        lines[2] = ",".join(cells[:3] + ["\x1c" + cells[3]] + cells[4:])
+    elif edit == "blank lines":
+        lines[2:2] = ["", "   "]
+    elif edit == "non-numeric consumer_id":
+        lines[2] = ",".join(cells[:1] + ["x"] + cells[2:])
+    elif edit == "cycle reappears":
+        lines.append(lines[1])
+    elif edit in ("cycle block repeats", "row moves to the next cycle"):
+        first = [line for line in lines[1:]
+                 if line.split(",")[0] == lines[1].split(",")[0]]
+        if edit == "cycle block repeats":
+            lines.extend(first)
+        else:
+            # the second cycle loses its last row to the third: the row
+            # count still divides into equal blocks
+            n = len(first)
+            moved = lines[2 * n].split(",")
+            moved[0] = lines[2 * n + 1].split(",")[0]
+            lines[2 * n] = ",".join(moved)
+    elif edit == "cycle split":
+        lines.append(lines.pop(2))
+    elif edit == "crlf":
+        lines = [line + "\r" for line in lines]
+    return lines
+
+
+@pytest.mark.parametrize("edit", [
+    "none", "comment line", "eleven fields", "units 1.0", "units 1_0",
+    "units  3", "units +3", "nan units", "control char", "blank lines",
+    "non-numeric consumer_id", "cycle reappears", "cycle block repeats",
+    "row moves to the next cycle", "cycle split", "crlf"])
+def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
+    # numpy's parse is kept only where the line parser would give the same
+    # samples; everywhere else the line parser's samples or error stand
+    path = tmp_path / "run.csv"
+    lines = _edit_run_csv(run_csv_text.splitlines(), edit)
+    path.write_text("\n".join(lines) + "\n", newline="")
+    fast = _reader_outcome(read_run_samples, str(path))
+    assert fast == _reader_outcome(read_run_lines, str(path))
+    if edit in ("units 1_0", "units  3", "units +3", "blank lines",
+                "non-numeric consumer_id", "crlf", "none"):
+        assert isinstance(fast, list), fast
+    if edit in ("cycle reappears", "cycle block repeats", "cycle split"):
+        # rows out of order would give ideals to the wrong consumers
+        assert re.search(r"run\.csv:\d+: cycle \d+ reappears after cycle \d+$",
+                         fast), fast
+
+
+def test_read_run_samples_parses_program_output_in_one_pass(
+        tmp_path, run_csv_text, monkeypatch):
+    path = tmp_path / "run.csv"
+    path.write_text(run_csv_text)
+    expected = _reader_outcome(read_run_lines, str(path))
+
+    def refuse(path):
+        raise AssertionError("fell back to the line parser")
+    monkeypatch.setattr(harness, "read_run_lines", refuse)
+    assert _reader_outcome(read_run_samples, str(path)) == expected
 
 
 def test_summary_csv_schema(tmp_path):

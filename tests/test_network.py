@@ -4,7 +4,11 @@ friend-of-friend referral."""
 import numpy as np
 import pytest
 
+from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph, referral, watts_strogatz
+
+# the removal floor a run uses unless configured otherwise
+FLOOR = RunConfig().tie_removal_floor
 
 
 def test_ring_lattice_when_beta_zero():
@@ -85,9 +89,9 @@ def test_decay_removal_rule_exact_boundary():
 def test_decay_removal_rule_default_floor():
     g = TieGraph(4)
     g.add_tie(0, 1, 0.0515)
-    g.decay_all(0.001)
+    g.decay_all(0.001, FLOOR)
     assert g.strength(0, 1) == pytest.approx(0.0505)
-    g.decay_all(0.001)
+    g.decay_all(0.001, FLOOR)
     assert not g.has_tie(0, 1)
 
 
@@ -95,7 +99,7 @@ def test_zero_decay_keeps_strengths():
     rng = np.random.default_rng(4)
     g = watts_strogatz(20, 4, 0.2, rng)
     before = list(g.edges())
-    g.decay_all(0.0)
+    g.decay_all(0.0, FLOOR)
     assert list(g.edges()) == before
 
 
@@ -103,7 +107,7 @@ def test_decay_preserves_symmetry():
     rng = np.random.default_rng(5)
     g = watts_strogatz(20, 4, 0.3, rng)
     for _ in range(100):
-        g.decay_all(0.004)
+        g.decay_all(0.004, FLOOR)
         g.audit()
 
 

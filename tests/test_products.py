@@ -10,9 +10,9 @@ from consumerlab.products import (GenerationError, ProductTopology,
                                   identify_maxima, landscape_distances,
                                   layout_objective, layout_signature,
                                   layout_signatures, nearest_max_distance,
-                                  random_topology, read_type_rows,
-                                  utility_from_edges, valuation,
-                                  write_type_csv, VERTEX_PAIRS)
+                                  random_topology, utility_from_edges,
+                                  valuation, write_type_csv, VERTEX_PAIRS)
+from type_csv import read_type_rows
 
 K6 = ProductTopology(VERTEX_PAIRS)
 C6 = ProductTopology(tuple(sorted(tuple(sorted(((i), (i + 1) % 6))) for i in range(6))))

@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-import scipy.special
 
 from consumerlab import stats
-from consumerlab.stats import (fdc, gaussian_kde, linreg_slope, normal_quantile,
-                               paired_t, quantile_table, signed_rank,
-                               silverman_bandwidth, slope_zero_test,
-                               student_t_cdf)
+from consumerlab.stats import (fdc, gaussian_kde, linreg_slope, paired_t,
+                               signed_rank, silverman_bandwidth,
+                               slope_zero_test, student_t_cdf)
 
 
 # ---------------------------------------------------------------------------
@@ -318,35 +316,3 @@ def test_silverman_bandwidth_formula():
     s = rng.normal(size=100)
     expected = 1.06 * np.std(s, ddof=1) * 100 ** (-0.2)
     assert silverman_bandwidth(s) == pytest.approx(expected, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# quantile table
-
-
-def test_normal_quantile_against_scipy():
-    for p in (0.0005, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.9995):
-        assert normal_quantile(p) == pytest.approx(
-            scipy.special.ndtri(p), abs=1e-8)
-
-
-def test_quantile_table_two_samples():
-    table = quantile_table([4.0, 2.0])
-    assert table.shape == (2, 2)
-    assert table[0, 0] == pytest.approx(normal_quantile(0.25))
-    assert table[1, 0] == pytest.approx(normal_quantile(0.75))
-    assert list(table[:, 1]) == [2.0, 4.0]
-
-
-def test_quantile_table_antisymmetric_for_symmetric_input():
-    samples = [-3.0, -1.0, 0.0, 1.0, 3.0]
-    table = quantile_table(samples)
-    assert np.allclose(table[:, 0], -table[::-1, 0], atol=1e-12)
-    assert np.allclose(table[:, 1], -table[::-1, 1], atol=1e-12)
-
-
-def test_quantile_table_normal_sample_near_unit_slope():
-    rng = np.random.default_rng(20)
-    table = quantile_table(rng.normal(size=1000))
-    slope, _ = linreg_slope(table[:, 0], table[:, 1])
-    assert abs(slope - 1.0) < 0.1
