@@ -28,7 +28,7 @@ import numpy as np
 
 from .cognition import AttractivenessState
 from .products import valuation
-from .space import GridLocation, ProductState, manhattan
+from .space import GridLocation, ProductState, as_location, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import World
@@ -43,10 +43,26 @@ class Situation(enum.Enum):
     CHANGE_VALUES = "change-values"
     SEARCH_FOR_A_FRIEND = "search-for-a-friend"
 
+    # Enum hashes by name, a salted string hash; by identity the per-cycle
+    # situation sets are cheaper. Their iteration order was never stable
+    # across processes, and nothing reads it.
+    __hash__ = object.__hash__
+
+
+# the members as module globals: the rules test them up to ten times per
+# consumer per cycle, and on Python 3.11 reading a member off the Enum
+# class costs several times a global lookup
+CONSUME_LOCALLY = Situation.CONSUME_LOCALLY
+INTERACT_SOCIALLY = Situation.INTERACT_SOCIALLY
+BORED = Situation.BORED
+DISSATISFIED = Situation.DISSATISFIED
+CHANGE_LOCATION = Situation.CHANGE_LOCATION
+CHANGE_VALUES = Situation.CHANGE_VALUES
+SEARCH_FOR_A_FRIEND = Situation.SEARCH_FOR_A_FRIEND
 
 # situations that persist across cycles once activated (they are switched
 # on by Bored/Dissatisfied and switched off when their work is done)
-_PERSISTENT = (Situation.CHANGE_LOCATION, Situation.CHANGE_VALUES)
+_PERSISTENT = frozenset((CHANGE_LOCATION, CHANGE_VALUES))
 
 
 @dataclass
@@ -83,21 +99,21 @@ def evaluate_situations(consumer: Consumer, world: "World") -> set:
     local observables. ConsumeLocally is active by default; previously
     activated change situations persist until they complete."""
     cfg = world.config
-    sits = {Situation.CONSUME_LOCALLY}
-    sits.update(s for s in consumer.active_situations if s in _PERSISTENT)
+    sits = consumer.active_situations & _PERSISTENT
+    sits.add(CONSUME_LOCALLY)
     if sum(consumer.recent_utilities) < 0.0:
-        sits.add(Situation.DISSATISFIED)
+        sits.add(DISSATISFIED)
     if consumer.boredom_count >= cfg.boredom_limit:
-        sits.add(Situation.BORED)
+        sits.add(BORED)
     if world.social:
         frustrated = (consumer.dissatisfaction_count >= cfg.frustration_limit
                       or consumer.failed_search_count >= cfg.frustration_limit)
         if consumer.consuming is None and frustrated:
-            sits.add(Situation.INTERACT_SOCIALLY)
+            sits.add(INTERACT_SOCIALLY)
         g = world.network
         if (g.degree(consumer.id) <= 2
                 and g.mean_strength(consumer.id) < cfg.tie_strength_floor):
-            sits.add(Situation.SEARCH_FOR_A_FRIEND)
+            sits.add(SEARCH_FOR_A_FRIEND)
     consumer.active_situations = sits
     return sits
 
@@ -105,7 +121,7 @@ def evaluate_situations(consumer: Consumer, world: "World") -> set:
 def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
     """Fire the consumer's one primary action for this cycle."""
     sits = consumer.active_situations
-    if Situation.DISSATISFIED in sits:
+    if DISSATISFIED in sits:
         _fire_dissatisfied(consumer, world)
         return
     if consumer.consuming is not None:
@@ -113,25 +129,25 @@ def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
         if consumer.consuming.remaining <= 0:
             complete_consumption(consumer, world)
             return
-        if Situation.SEARCH_FOR_A_FRIEND in sits:
+        if SEARCH_FOR_A_FRIEND in sits:
             _fire_referral(consumer, world, rng)
         return
-    if Situation.SEARCH_FOR_A_FRIEND in sits:
+    if SEARCH_FOR_A_FRIEND in sits:
         _fire_referral(consumer, world, rng)
         return
     if consumer.nav_target is not None:
         _navigation_step(consumer, world)
         return
-    if Situation.INTERACT_SOCIALLY in sits:
+    if INTERACT_SOCIALLY in sits:
         interact_socially(consumer, world, rng)
         return
-    if Situation.BORED in sits:
+    if BORED in sits:
         _fire_bored(consumer, world)
         return
-    if Situation.CHANGE_LOCATION in sits:
+    if CHANGE_LOCATION in sits:
         _escape_step(consumer, world, rng)
         return
-    if Situation.CHANGE_VALUES in sits:
+    if CHANGE_VALUES in sits:
         _perturb_values(consumer, world, rng)
         return
     _forage(consumer, world, rng)
@@ -170,7 +186,7 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
             -1.0, consumer.attract.threshold
             + cfg.threshold_rate * cfg.decline_relaxation * gap)
     consumer.failed_search_count += 1
-    consumer.active_situations.add(Situation.CHANGE_LOCATION)
+    consumer.active_situations.add(CHANGE_LOCATION)
     consumer.escape_budget = cfg.escape_cycles
     return False
 
@@ -274,9 +290,9 @@ def _navigation_step(consumer: Consumer, world: "World") -> None:
     consumer.nav_budget -= 1
     space = world.space
     current = manhattan(consumer.location, target)
-    for nb in space.von_neumann_neighbors(consumer.location):
-        if manhattan(nb, target) < current and space.consumer_at(nb) is None:
-            space.move_consumer(consumer, nb)
+    for x, y in space.free_neighbor_cells(consumer.location):
+        if abs(x - target.x) + abs(y - target.y) < current:
+            space.move_consumer(consumer, GridLocation(x, y))
             return
     # boxed in this cycle; try again next cycle
 
@@ -310,10 +326,10 @@ def _fire_bored(consumer: Consumer, world: "World") -> None:
 
 def _activate_change(consumer: Consumer, world: "World") -> None:
     if consumer.change_location_next:
-        consumer.active_situations.add(Situation.CHANGE_LOCATION)
+        consumer.active_situations.add(CHANGE_LOCATION)
         consumer.escape_budget = world.config.escape_cycles
     else:
-        consumer.active_situations.add(Situation.CHANGE_VALUES)
+        consumer.active_situations.add(CHANGE_VALUES)
     consumer.change_location_next = not consumer.change_location_next
 
 
@@ -332,7 +348,7 @@ def _escape_step(consumer: Consumer, world: "World",
     if nb is not None and nb != consumer.location:
         space.move_consumer(consumer, nb)
     if consumer.escape_budget <= 0:
-        consumer.active_situations.discard(Situation.CHANGE_LOCATION)
+        consumer.active_situations.discard(CHANGE_LOCATION)
         consumer.escape_budget = 0
 
 
@@ -342,7 +358,7 @@ def _perturb_values(consumer: Consumer, world: "World",
     magnitude = world.config.perturb_magnitude
     offsets = rng.uniform(-magnitude, magnitude, size=consumer.ideal.shape)
     consumer.ideal = np.maximum(consumer.ideal + offsets, 0.0)
-    consumer.active_situations.discard(Situation.CHANGE_VALUES)
+    consumer.active_situations.discard(CHANGE_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +367,10 @@ def _perturb_values(consumer: Consumer, world: "World",
 
 def _random_free_neighbor(consumer: Consumer, world: "World",
                           rng: np.random.Generator) -> GridLocation | None:
-    space = world.space
-    free = [nb for nb in space.von_neumann_neighbors(consumer.location)
-            if space.consumer_at(nb) is None]
+    free = world.space.free_neighbor_cells(consumer.location)
     if not free:
         return None
-    return free[int(rng.integers(0, len(free)))]
+    return as_location(free[int(rng.integers(0, len(free)))])
 
 
 def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:

@@ -309,11 +309,11 @@ class World:
         self.cycle += 1
         if self.social:
             self.network.decay_all(cfg.tie_decay, cfg.tie_removal_floor)
-        order = self.rng.permutation(cfg.n_consumers)
-        for idx in order:
-            consumer = self.consumers[int(idx)]
+        rng = self.rng
+        for idx in rng.permutation(cfg.n_consumers).tolist():
+            consumer = self.consumers[idx]
             evaluate_situations(consumer, self)
-            act(consumer, self, self.rng)
+            act(consumer, self, rng)
             if consumer.consuming is None:
                 consumer.boredom_count += 1
         if self.social:
@@ -324,15 +324,7 @@ class World:
 
     def _strengthen_contacts(self) -> None:
         # physical contact: von Neumann adjacency, once per pair per cycle
-        space = self.space
-        pairs = set()
-        for consumer in self.consumers:
-            for nb in space.von_neumann_neighbors(consumer.location):
-                other = space.consumer_at(nb)
-                if other is not None:
-                    a, b = consumer.id, other
-                    pairs.add((a, b) if a < b else (b, a))
-        for a, b in sorted(pairs):
+        for a, b in self.space.contact_pairs():
             self.network.strengthen(a, b, self.config.tie_boost)
 
     # -- integrity -------------------------------------------------------------
@@ -611,9 +603,8 @@ def write_run_csv(result: RunResult, path: str) -> None:
     write_csv(path, RUN_CSV_HEADER, rows)
 
 
-# one run CSV row on the fast path; consumer_id is read but not parsed, as
-# the line parser ignores it
-_RUN_ROW_DTYPE = np.dtype([("cycle", np.int64), ("consumer_id", "U1"),
+# one run CSV row on the fast path
+_RUN_ROW_DTYPE = np.dtype([("cycle", np.int64), ("consumer_id", np.int64),
                            ("units", np.int64), ("utility", np.float64),
                            ("ideals", np.float64, (SIGNATURE_DIM,))])
 # the characters the program writes in a run CSV body: in it, numpy parses
@@ -628,9 +619,9 @@ def read_run_samples(path: str) -> list[PeriodSample]:
 
     A body in the program's own alphabet is parsed in one numpy pass and
     kept when it is two or more contiguous blocks of one length with
-    distinct cycles, as the program writes it. Any other body, including
-    every malformed one, goes through `read_run_lines`, which returns the
-    same samples or raises its error."""
+    distinct cycles and consumer ids 0..n-1 in order, as the program writes
+    it. Any other body, including every malformed one, goes through
+    `read_run_lines`, which returns the same samples or raises its error."""
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().strip().split(",") != RUN_CSV_HEADER:
             raise ValueError(f"{path}: unexpected run CSV header")
@@ -643,7 +634,9 @@ def read_run_samples(path: str) -> list[PeriodSample]:
     n = rows.size // n_cycles
     if (n_cycles < 2 or rows.size != n_cycles * n
             or not np.array_equal(starts, n * np.arange(1, n_cycles))
-            or np.unique(cycles[::n]).size != n_cycles):
+            or np.unique(cycles[::n]).size != n_cycles
+            or not (rows["consumer_id"].reshape(n_cycles, n)
+                    == np.arange(n)).all()):
         return read_run_lines(path)
     ideals = np.ascontiguousarray(rows["ideals"]).reshape(
         n_cycles, n, SIGNATURE_DIM)
@@ -675,12 +668,13 @@ def _parse_run_body(fh) -> Optional[np.ndarray]:
 
 def read_run_lines(path: str) -> list[PeriodSample]:
     """The line-by-line run CSV parser, and the reference for
-    `read_run_samples`. Each cycle's rows form one contiguous block; blank
-    lines are skipped. A row without ten fields or with a non-numeric cell,
-    a cycle that reappears after another cycle's rows, or a cycle with
-    fewer or more rows than the first cycle (a truncated file), raises
-    ValueError naming the file and line; a file with fewer than two sample
-    cycles raises one naming the file."""
+    `read_run_samples`. Each cycle's rows form one contiguous block, with
+    consumer ids 0, 1, ... in order; blank lines are skipped. A row without
+    ten fields or with a non-numeric cell, a row whose consumer id is not
+    its place in its cycle's block, a cycle that reappears after another
+    cycle's rows, or a cycle with fewer or more rows than the first cycle
+    (a truncated file), raises ValueError naming the file and line; a file
+    with fewer than two sample cycles raises one naming the file."""
     groups: dict[int, tuple[list[int], list[float], list[np.ndarray]]] = {}
     order: list[int] = []
     first_line: dict[int, int] = {}
@@ -706,6 +700,12 @@ def read_run_lines(path: str) -> list[PeriodSample]:
                     order.append(cycle)
                     first_line[cycle] = lineno
                 units, utility, ideals = groups[cycle]
+                consumer_id = int(parts[1])
+                if consumer_id != len(units):
+                    # a row out of place would give its ideals to another
+                    # consumer
+                    raise ValueError(f"consumer_id {consumer_id} where "
+                                     f"{len(units)} is expected")
                 units.append(int(parts[2]))
                 utility.append(float(parts[3]))
                 ideals.append(np.array([float(v) for v in parts[4:10]]))

@@ -66,14 +66,23 @@ class TieGraph:
 
     def decay_all(self, gamma: float, floor: float) -> None:
         """Subtract gamma from every tie; ties falling below `floor` are
-        removed."""
-        for a, b, s in list(self.edges()):
-            s -= gamma
-            if s < floor:
-                self.remove_tie(a, b)
-            else:
-                self._adj[a][b] = s
-                self._adj[b][a] = s
+        removed. Each tie is updated on its own, so walking the adjacency
+        in place leaves every value and every insertion order as a walk
+        over the sorted `edges()` would."""
+        adj = self._adj
+        removed = []
+        for a, ties in adj.items():
+            for b, s in ties.items():
+                if a < b:
+                    s -= gamma
+                    if s < floor:
+                        removed.append((a, b))
+                    else:
+                        # rebinding a key leaves the dict's size and order
+                        ties[b] = s
+                        adj[b][a] = s
+        for a, b in removed:
+            self.remove_tie(a, b)
 
     def edges(self):
         """Yield (a, b, strength) with a < b, in sorted order."""

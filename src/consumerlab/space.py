@@ -3,7 +3,12 @@ product proximity field that reduces foraging to gradient ascent/descent.
 
 Locations are (x, y) with 0 <= x < width, 0 <= y < height. Neighbor order
 is fixed N, E, S, W with north at y - 1; movement and tie-breaking depend
-on that order, so it must never change.
+on that order, so it must never change. `ConsumptionSpace.neighbor_cells`
+is the one routine that enumerates neighbours and so owns that order;
+every other neighbourhood (`von_neumann_neighbors`, `free_neighbor_cells`,
+`ascend`, `descend`) iterates it. It returns plain (x, y) tuples, which
+hash and compare like `GridLocation`s; a cell becomes a `GridLocation`
+(via `as_location`) only when it is returned as a target or stored.
 
 A consumer's cell is recorded once, in `Consumer.location`; the space keeps
 only the cell -> consumer id index, and placing or moving a consumer
@@ -25,6 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class GridLocation(NamedTuple):
     x: int
     y: int
+
+
+_tuple_new = tuple.__new__
+
+
+def as_location(cell: tuple[int, int]) -> GridLocation:
+    """A plain (x, y) cell as a GridLocation, without the NamedTuple
+    constructor's extra Python call."""
+    return _tuple_new(GridLocation, cell)
 
 
 class ProductState(enum.Enum):
@@ -66,24 +80,47 @@ class ConsumptionSpace:
     def in_bounds(self, loc: GridLocation) -> bool:
         return 0 <= loc.x < self.width and 0 <= loc.y < self.height
 
+    def neighbor_cells(self, x: int, y: int) -> list[tuple[int, int]]:
+        """In-bounds orthogonal neighbors of (x, y) as plain tuples, in the
+        fixed N, E, S, W order."""
+        cells = []
+        if y > 0:
+            cells.append((x, y - 1))
+        if x < self.width - 1:
+            cells.append((x + 1, y))
+        if y < self.height - 1:
+            cells.append((x, y + 1))
+        if x > 0:
+            cells.append((x - 1, y))
+        return cells
+
     def von_neumann_neighbors(self, loc: GridLocation) -> list[GridLocation]:
         """In-bounds orthogonal neighbors in fixed N, E, S, W order."""
-        x, y = loc
-        out = []
-        if y > 0:
-            out.append(GridLocation(x, y - 1))
-        if x < self.width - 1:
-            out.append(GridLocation(x + 1, y))
-        if y < self.height - 1:
-            out.append(GridLocation(x, y + 1))
-        if x > 0:
-            out.append(GridLocation(x - 1, y))
-        return out
+        return [as_location(cell) for cell in self.neighbor_cells(*loc)]
 
     # -- occupancy ----------------------------------------------------------
 
     def consumer_at(self, loc: GridLocation) -> int | None:
         return self._consumer_at.get(loc)
+
+    def free_neighbor_cells(self, loc: GridLocation) -> list[tuple[int, int]]:
+        """The neighbor cells (N, E, S, W order) holding no consumer."""
+        occupied = self._consumer_at
+        return [cell for cell in self.neighbor_cells(*loc)
+                if cell not in occupied]
+
+    def contact_pairs(self) -> list[tuple[int, int]]:
+        """Every pair of consumers on orthogonally adjacent cells, once, as
+        (lower id, higher id) in ascending order. Each adjacency is found
+        from its west or north end, by looking east and south only."""
+        at = self._consumer_at.get
+        pairs = []
+        for (x, y), a in self._consumer_at.items():
+            for b in (at((x + 1, y)), at((x, y + 1))):
+                if b is not None:
+                    pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()
+        return pairs
 
     def product_at(self, loc: GridLocation) -> int | None:
         return self._product_at.get(loc)
@@ -190,26 +227,26 @@ class ConsumptionSpace:
         order; returns `loc` when no neighbor strictly improves."""
         field = self.field
         best = field[loc.y, loc.x]
-        best_loc = loc
-        for nb in self.von_neumann_neighbors(loc):
-            v = field[nb.y, nb.x]
+        best_cell = None
+        for cell in self.neighbor_cells(*loc):
+            v = field[cell[1], cell[0]]
             if v > best:
                 best = v
-                best_loc = nb
-        return best_loc
+                best_cell = cell
+        return loc if best_cell is None else as_location(best_cell)
 
     def descend(self, loc: GridLocation) -> GridLocation:
         """Neighbor with the smallest field value, same tie rule; returns
         `loc` when no neighbor strictly decreases."""
         field = self.field
         best = field[loc.y, loc.x]
-        best_loc = loc
-        for nb in self.von_neumann_neighbors(loc):
-            v = field[nb.y, nb.x]
+        best_cell = None
+        for cell in self.neighbor_cells(*loc):
+            v = field[cell[1], cell[0]]
             if v < best:
                 best = v
-                best_loc = nb
-        return best_loc
+                best_cell = cell
+        return loc if best_cell is None else as_location(best_cell)
 
     # -- respawn --------------------------------------------------------------
 

@@ -434,6 +434,10 @@ def _edit_run_csv(lines, edit):
             lines[2 * n] = ",".join(moved)
     elif edit == "cycle split":
         lines.append(lines.pop(2))
+    elif edit == "two rows swapped within a cycle":
+        lines[1], lines[2] = lines[2], lines[1]
+    elif edit == "consumer_id out of range":
+        lines[2] = ",".join(cells[:1] + ["40"] + cells[2:])
     elif edit == "crlf":
         lines = [line + "\r" for line in lines]
     return lines
@@ -443,7 +447,8 @@ def _edit_run_csv(lines, edit):
     "none", "comment line", "eleven fields", "units 1.0", "units 1_0",
     "units  3", "units +3", "nan units", "control char", "blank lines",
     "non-numeric consumer_id", "cycle reappears", "cycle block repeats",
-    "row moves to the next cycle", "cycle split", "crlf"])
+    "row moves to the next cycle", "cycle split",
+    "two rows swapped within a cycle", "consumer_id out of range", "crlf"])
 def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
     # numpy's parse is kept only where the line parser would give the same
     # samples; everywhere else the line parser's samples or error stand
@@ -452,13 +457,18 @@ def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
     path.write_text("\n".join(lines) + "\n", newline="")
     fast = _reader_outcome(read_run_samples, str(path))
     assert fast == _reader_outcome(read_run_lines, str(path))
-    if edit in ("units 1_0", "units  3", "units +3", "blank lines",
-                "non-numeric consumer_id", "crlf", "none"):
+    if edit in ("units 1_0", "units  3", "units +3", "blank lines", "crlf",
+                "none"):
         assert isinstance(fast, list), fast
-    if edit in ("cycle reappears", "cycle block repeats", "cycle split"):
-        # rows out of order would give ideals to the wrong consumers
+    # rows out of order would give ideals to the wrong consumers
+    if edit in ("cycle reappears", "cycle block repeats"):
         assert re.search(r"run\.csv:\d+: cycle \d+ reappears after cycle \d+$",
                          fast), fast
+    if edit in ("cycle split", "two rows swapped within a cycle",
+                "consumer_id out of range", "non-numeric consumer_id"):
+        # the first row out of place is named
+        assert re.search(r"run\.csv:[23]: (consumer_id \d+ where \d+ is "
+                         r"expected|invalid literal for int\(\))", fast), fast
 
 
 def test_read_run_samples_parses_program_output_in_one_pass(

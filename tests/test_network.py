@@ -103,6 +103,41 @@ def test_zero_decay_keeps_strengths():
     assert list(g.edges()) == before
 
 
+def reference_decay(g, gamma, floor):
+    # decay as first written: a walk over the sorted edges
+    for a, b, s in list(g.edges()):
+        s -= gamma
+        if s < floor:
+            g.remove_tie(a, b)
+        else:
+            g._adj[a][b] = s
+            g._adj[b][a] = s
+
+
+def test_decay_matches_sorted_walk_in_values_and_order():
+    # ties created in random order, so insertion orders are not sorted, and
+    # short-lived, so many are removed along the way
+    rng = np.random.default_rng(6)
+    g, ref = TieGraph(12), TieGraph(12)
+    removed = unsorted = 0
+    for _ in range(200):
+        a, b = (int(v) for v in rng.choice(12, size=2, replace=False))
+        delta = float(rng.uniform(0.0, 0.3))
+        g.strengthen(a, b, delta)
+        ref.strengthen(a, b, delta)
+        before = g.edge_count()
+        g.decay_all(0.01, 0.05)
+        reference_decay(ref, 0.01, 0.05)
+        removed += before - g.edge_count()
+        for node in range(12):
+            assert list(g.neighbors(node).items()) \
+                == list(ref.neighbors(node).items())
+            assert g.mean_strength(node) == ref.mean_strength(node)
+            unsorted += list(g.neighbors(node)) != sorted(g.neighbors(node))
+    assert g.checksum() == ref.checksum()
+    assert removed > 100 and unsorted > 100
+
+
 def test_decay_preserves_symmetry():
     rng = np.random.default_rng(5)
     g = watts_strogatz(20, 4, 0.3, rng)

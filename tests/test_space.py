@@ -41,6 +41,71 @@ def test_edge_cell_has_three_neighbors():
     assert len(space.von_neumann_neighbors(GridLocation(0, 7))) == 3
 
 
+def reference_neighbors(width, height, loc):
+    # the neighbourhood as first written, one GridLocation per cell
+    x, y = loc
+    out = []
+    if y > 0:
+        out.append(GridLocation(x, y - 1))
+    if x < width - 1:
+        out.append(GridLocation(x + 1, y))
+    if y < height - 1:
+        out.append(GridLocation(x, y + 1))
+    if x > 0:
+        out.append(GridLocation(x - 1, y))
+    return out
+
+
+# every corner, edge and interior case, including 1-wide, 1-high and 1 x 1
+GRID_SHAPES = [(1, 1), (1, 6), (6, 1), (2, 2), (5, 4), (9, 7)]
+
+
+@pytest.mark.parametrize("width, height", GRID_SHAPES)
+def test_neighborhoods_match_reference_on_every_cell(width, height):
+    space = make_space(width=width, height=height)
+    for x in range(width):
+        for y in range(height):
+            loc = GridLocation(x, y)
+            want = reference_neighbors(width, height, loc)
+            got = space.von_neumann_neighbors(loc)
+            assert got == want
+            assert all(type(nb) is GridLocation for nb in got)
+            assert space.neighbor_cells(x, y) == want
+
+
+def reference_contact_pairs(space, consumers):
+    # every consumer's whole neighbourhood, each pair kept once, sorted
+    pairs = set()
+    for c in consumers:
+        for nb in reference_neighbors(space.width, space.height, c.location):
+            other = space.consumer_at(nb)
+            if other is not None:
+                pairs.add((min(c.id, other), max(c.id, other)))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("width, height", GRID_SHAPES + [(12, 10)])
+def test_contact_pairs_match_brute_force(width, height):
+    rng = np.random.default_rng(width * 100 + height)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    for trial in range(40):
+        count = int(rng.integers(0, len(cells) + 1))
+        chosen = rng.permutation(len(cells))[:count]
+        ids = rng.permutation(count)   # ids unrelated to placement order
+        space = make_space(width=width, height=height)
+        consumers = [place(space, int(cid), *cells[k])
+                     for cid, k in zip(ids, chosen)]
+        assert space.contact_pairs() == reference_contact_pairs(space, consumers)
+
+
+def test_free_neighbor_cells_skip_consumers_in_nesw_order():
+    space = make_space(width=3, height=3)
+    place(space, 0, 1, 0)
+    place(space, 1, 1, 2)
+    assert space.free_neighbor_cells(GridLocation(1, 1)) == [(2, 1), (0, 1)]
+    assert space.free_neighbor_cells(GridLocation(0, 0)) == [(0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # movement and occupancy
 
@@ -156,6 +221,35 @@ def test_ascend_tie_break_is_deterministic_nesw():
     assert space.ascend(loc) == expected
     # east comes before west in N,E,S,W order
     assert expected == GridLocation(11, 10)
+
+
+def reference_steepest(space, loc, better):
+    # ascend / descend as first written: the first strictly better
+    # neighbour in N, E, S, W order wins
+    best, best_loc = space.field[loc.y, loc.x], loc
+    for nb in reference_neighbors(space.width, space.height, loc):
+        v = space.field[nb.y, nb.x]
+        if better(v, best):
+            best, best_loc = v, nb
+    return best_loc
+
+
+@pytest.mark.parametrize("width, height", GRID_SHAPES)
+def test_ascend_descend_match_reference_with_exact_ties(width, height):
+    # fields drawn from three levels, so neighbours tie exactly and often,
+    # at edges and corners as much as inside
+    rng = np.random.default_rng(width * 10 + height)
+    space = make_space(width=width, height=height)
+    for trial in range(30):
+        space.field[:] = rng.integers(0, 3, size=(height, width)) / 2.0
+        for x in range(width):
+            for y in range(height):
+                loc = GridLocation(x, y)
+                up = space.ascend(loc)
+                down = space.descend(loc)
+                assert up == reference_steepest(space, loc, lambda v, b: v > b)
+                assert down == reference_steepest(space, loc, lambda v, b: v < b)
+                assert type(up) is GridLocation and type(down) is GridLocation
 
 
 def test_ascend_plateau_returns_location():

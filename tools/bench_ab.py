@@ -52,7 +52,12 @@ def export(rev: str) -> str:
     subprocess.run(["git", "archive", "--format=tar", "-o", archive, rev],
                    cwd=ROOT, check=True)
     with tarfile.open(archive) as tar:
-        tar.extractall(target, filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:
+            # Pythons before 3.10.12 and 3.11.4 have no extraction filters;
+            # the archive is git's own export of a commit
+            tar.extractall(target)
     os.remove(archive)
     return target
 
