@@ -7,14 +7,17 @@ Each cycle it evaluates which situations are active and fires exactly one
 primary action, chosen by a fixed priority order:
 
     Dissatisfied > SearchForAFriend > (navigating) > InteractSocially >
-    Bored > ChangeLocation > ChangeValues > ConsumeLocally
+    Bored > ChangeLocation > ChangeValues > (foraging)
 
 Overlapping situations may be active at once; the priority order resolves
-conflicts. A consumer with a navigation target walks toward it instead of
-interacting, changing or foraging. Social influence acts on one neighbour
-only: the most admired one with consumption history, else the most
-similar one. All randomness flows through the run's cycle stream, so equal
-seeds give identical action traces.
+conflicts. Foraging (consume the product underfoot, else climb the
+proximity gradient) is the default action when nothing above claims the
+cycle; it is not a member of the situation set. A consumer with a
+navigation target walks toward it instead of interacting, changing or
+foraging. Social influence acts on one neighbour only: the most admired
+one with consumption history, else the most similar one. All randomness
+flows through the run's cycle stream, so equal seeds give identical action
+traces.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ import numpy as np
 
 from .cognition import AttractivenessState
 from .products import valuation
-from .space import GridLocation, ProductState, as_location, manhattan
+from .space import Cell, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import World
 
 
 class Situation(enum.Enum):
-    CONSUME_LOCALLY = "consume-locally"
     INTERACT_SOCIALLY = "interact-socially"
     BORED = "bored"
     DISSATISFIED = "dissatisfied"
@@ -52,7 +54,6 @@ class Situation(enum.Enum):
 # the members as module globals: the rules test them up to ten times per
 # consumer per cycle, and on Python 3.11 reading a member off the Enum
 # class costs several times a global lookup
-CONSUME_LOCALLY = Situation.CONSUME_LOCALLY
 INTERACT_SOCIALLY = Situation.INTERACT_SOCIALLY
 BORED = Situation.BORED
 DISSATISFIED = Situation.DISSATISFIED
@@ -74,7 +75,7 @@ class ActiveConsumption:
 @dataclass
 class Consumer:
     id: int
-    location: GridLocation
+    location: Cell
     ideal: np.ndarray
     attract: AttractivenessState
     active_situations: set = field(default_factory=set)
@@ -86,7 +87,7 @@ class Consumer:
     units_consumed: int = 0
     utility_total: float = 0.0
     # social navigation: a target cell means the consumer is navigating
-    nav_target: GridLocation | None = None
+    nav_target: Cell | None = None
     nav_budget: int = 0
     # alternation toggles
     change_location_next: bool = True
@@ -96,11 +97,10 @@ class Consumer:
 
 def evaluate_situations(consumer: Consumer, world: "World") -> set:
     """Run the situation production rules against the consumer's state and
-    local observables. ConsumeLocally is active by default; previously
-    activated change situations persist until they complete."""
+    local observables. Previously activated change situations persist until
+    they complete."""
     cfg = world.config
     sits = consumer.active_situations & _PERSISTENT
-    sits.add(CONSUME_LOCALLY)
     if sum(consumer.recent_utilities) < 0.0:
         sits.add(DISSATISFIED)
     if consumer.boredom_count >= cfg.boredom_limit:
@@ -174,7 +174,7 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
     predicted = consumer.attract.predict_utility(signature)
     if predicted >= consumer.attract.threshold \
             and valuation(consumer.ideal, signature) <= cfg.max_valuation_gap:
-        instance.state = ProductState.BEING_CONSUMED
+        instance.in_use = True
         consumer.consuming = ActiveConsumption(instance.instance_id,
                                                cfg.consumption_cycles)
         consumer.boredom_count = 0
@@ -290,9 +290,9 @@ def _navigation_step(consumer: Consumer, world: "World") -> None:
     consumer.nav_budget -= 1
     space = world.space
     current = manhattan(consumer.location, target)
-    for x, y in space.free_neighbor_cells(consumer.location):
-        if abs(x - target.x) + abs(y - target.y) < current:
-            space.move_consumer(consumer, GridLocation(x, y))
+    for cell in space.free_neighbor_cells(consumer.location):
+        if manhattan(cell, target) < current:
+            space.move_consumer(consumer, cell)
             return
     # boxed in this cycle; try again next cycle
 
@@ -312,7 +312,7 @@ def _fire_dissatisfied(consumer: Consumer, world: "World") -> None:
     consumer.dissatisfaction_count += 1
     if consumer.consuming is not None:
         instance = world.space.products[consumer.consuming.instance_id]
-        instance.state = ProductState.AVAILABLE
+        instance.in_use = False
         consumer.consuming = None
     _exit_navigation(consumer)
     consumer.recent_utilities.clear()
@@ -366,11 +366,11 @@ def _perturb_values(consumer: Consumer, world: "World",
 
 
 def _random_free_neighbor(consumer: Consumer, world: "World",
-                          rng: np.random.Generator) -> GridLocation | None:
+                          rng: np.random.Generator) -> Cell | None:
     free = world.space.free_neighbor_cells(consumer.location)
     if not free:
         return None
-    return as_location(free[int(rng.integers(0, len(free)))])
+    return free[int(rng.integers(0, len(free)))]
 
 
 def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
@@ -380,7 +380,7 @@ def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> Non
     pid = space.product_at(consumer.location)
     if pid is not None:
         instance = space.products[pid]
-        if instance.state is ProductState.AVAILABLE:
+        if not instance.in_use:
             if try_begin_consumption(consumer, instance, world):
                 return
             # declined; the escape scheduled by the decline starts next cycle

@@ -205,6 +205,15 @@ def cmd_analyze(args) -> int:
         match = _RUN_FILE_RE.fullmatch(name)
         if match:
             seed, arm = int(match.group(1)), match.group(2)
+            # only the name the program writes may hold a run: "07" (or a
+            # non-ASCII digit) would alias, and silently replace, seed 7
+            canonical = run_file_name(seed, arm == "social")
+            if name != canonical:
+                print(f"error: {os.path.join(args.in_dir, name)}: seed "
+                      f"{match.group(1)!r} is not in the form run file "
+                      f"names use; the {arm} run of seed {seed} is "
+                      f"{canonical}", file=sys.stderr)
+                return 1
             by_seed.setdefault(seed, {})[arm] = os.path.join(args.in_dir, name)
     if not by_seed:
         print(f"error: no run_<seed>_<social|nonsocial>.csv files in "

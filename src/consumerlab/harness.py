@@ -28,7 +28,7 @@ from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
                        signature_matrix)
 from .serialize import fmt_float, write_csv
-from .space import ConsumptionSpace, GridLocation, ProductInstance
+from .space import Cell, ConsumptionSpace, ProductInstance
 
 SIGNATURE_DIM = 6
 
@@ -239,15 +239,14 @@ class World:
         self.network = watts_strogatz(
             config.n_consumers, config.ws_degree, config.ws_beta,
             streams["network"], config.initial_tie_strength)
-        self.cycle = 0
         self.consumption_events = 0
         self._pending_respawns: list[int] = []
 
     # -- initialization ------------------------------------------------------
 
-    def _random_cell(self, rng) -> GridLocation:
-        return GridLocation(int(rng.integers(0, self.config.width)),
-                            int(rng.integers(0, self.config.height)))
+    def _random_cell(self, rng) -> Cell:
+        return (int(rng.integers(0, self.config.width)),
+                int(rng.integers(0, self.config.height)))
 
     def _place_products(self, rng) -> None:
         instance_id = 0
@@ -306,7 +305,6 @@ class World:
         permuted order, adjacency strengthens ties (social runs), consumed
         products respawn."""
         cfg = self.config
-        self.cycle += 1
         if self.social:
             self.network.decay_all(cfg.tie_decay, cfg.tie_removal_floor)
         rng = self.rng
@@ -354,10 +352,9 @@ class World:
             h.update(struct.pack("<d", t.utility))
         for pid in sorted(self.space.products):
             inst = self.space.products[pid]
-            h.update(struct.pack("<iiii", pid, inst.type_id,
-                                 inst.location.x, inst.location.y))
+            h.update(struct.pack("<iiii", pid, inst.type_id, *inst.location))
         for c in self.consumers:
-            h.update(struct.pack("<iii", c.id, c.location.x, c.location.y))
+            h.update(struct.pack("<iii", c.id, *c.location))
             h.update(np.ascontiguousarray(c.ideal).tobytes())
             h.update(struct.pack("<d", c.attract.threshold))
             h.update(np.ascontiguousarray(c.attract.som.weights).tobytes())

@@ -1,14 +1,13 @@
 """Bounded grid world: consumer occupancy, product placement, and the
 product proximity field that reduces foraging to gradient ascent/descent.
 
-Locations are (x, y) with 0 <= x < width, 0 <= y < height. Neighbor order
-is fixed N, E, S, W with north at y - 1; movement and tie-breaking depend
-on that order, so it must never change. `ConsumptionSpace.neighbor_cells`
-is the one routine that enumerates neighbours and so owns that order;
-every other neighbourhood (`von_neumann_neighbors`, `free_neighbor_cells`,
-`ascend`, `descend`) iterates it. It returns plain (x, y) tuples, which
-hash and compare like `GridLocation`s; a cell becomes a `GridLocation`
-(via `as_location`) only when it is returned as a target or stored.
+A cell is a plain (x, y) tuple of ints with 0 <= x < width and
+0 <= y < height. Neighbor order is fixed N, E, S, W with north at y - 1;
+movement and tie-breaking depend on that order, so it must never change.
+`ConsumptionSpace.neighbor_cells` is the one routine that enumerates
+neighbours and so owns that order; every other neighbourhood
+(`von_neumann_neighbors`, `free_neighbor_cells`, `ascend`, `descend`)
+iterates it.
 
 A consumer's cell is recorded once, in `Consumer.location`; the space keeps
 only the cell -> consumer id index, and placing or moving a consumer
@@ -17,9 +16,8 @@ updates both.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,35 +25,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .agents import Consumer
 
 
-class GridLocation(NamedTuple):
-    x: int
-    y: int
-
-
-_tuple_new = tuple.__new__
-
-
-def as_location(cell: tuple[int, int]) -> GridLocation:
-    """A plain (x, y) cell as a GridLocation, without the NamedTuple
-    constructor's extra Python call."""
-    return _tuple_new(GridLocation, cell)
-
-
-class ProductState(enum.Enum):
-    AVAILABLE = "available"
-    BEING_CONSUMED = "being-consumed"
+Cell = tuple[int, int]
 
 
 @dataclass
 class ProductInstance:
     instance_id: int
     type_id: int
-    location: GridLocation
-    state: ProductState = ProductState.AVAILABLE
+    location: Cell
+    in_use: bool = False
 
 
-def manhattan(a: GridLocation, b: GridLocation) -> int:
-    return abs(a.x - b.x) + abs(a.y - b.y)
+def manhattan(a: Cell, b: Cell) -> int:
+    return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
 class ConsumptionSpace:
@@ -71,18 +53,18 @@ class ConsumptionSpace:
         self.height = height
         self.radius = proximity_radius
         self.field = np.zeros((height, width))
-        self._consumer_at: dict[GridLocation, int] = {}
+        self._consumer_at: dict[Cell, int] = {}
         self.products: dict[int, ProductInstance] = {}
-        self._product_at: dict[GridLocation, int] = {}
+        self._product_at: dict[Cell, int] = {}
 
     # -- geometry -----------------------------------------------------------
 
-    def in_bounds(self, loc: GridLocation) -> bool:
-        return 0 <= loc.x < self.width and 0 <= loc.y < self.height
+    def in_bounds(self, loc: Cell) -> bool:
+        return 0 <= loc[0] < self.width and 0 <= loc[1] < self.height
 
-    def neighbor_cells(self, x: int, y: int) -> list[tuple[int, int]]:
-        """In-bounds orthogonal neighbors of (x, y) as plain tuples, in the
-        fixed N, E, S, W order."""
+    def neighbor_cells(self, x: int, y: int) -> list[Cell]:
+        """In-bounds orthogonal neighbors of (x, y) in the fixed N, E, S, W
+        order."""
         cells = []
         if y > 0:
             cells.append((x, y - 1))
@@ -94,16 +76,16 @@ class ConsumptionSpace:
             cells.append((x - 1, y))
         return cells
 
-    def von_neumann_neighbors(self, loc: GridLocation) -> list[GridLocation]:
+    def von_neumann_neighbors(self, loc: Cell) -> list[Cell]:
         """In-bounds orthogonal neighbors in fixed N, E, S, W order."""
-        return [as_location(cell) for cell in self.neighbor_cells(*loc)]
+        return self.neighbor_cells(*loc)
 
     # -- occupancy ----------------------------------------------------------
 
-    def consumer_at(self, loc: GridLocation) -> int | None:
+    def consumer_at(self, loc: Cell) -> int | None:
         return self._consumer_at.get(loc)
 
-    def free_neighbor_cells(self, loc: GridLocation) -> list[tuple[int, int]]:
+    def free_neighbor_cells(self, loc: Cell) -> list[Cell]:
         """The neighbor cells (N, E, S, W order) holding no consumer."""
         occupied = self._consumer_at
         return [cell for cell in self.neighbor_cells(*loc)
@@ -122,7 +104,7 @@ class ConsumptionSpace:
         pairs.sort()
         return pairs
 
-    def product_at(self, loc: GridLocation) -> int | None:
+    def product_at(self, loc: Cell) -> int | None:
         return self._product_at.get(loc)
 
     def place_consumer(self, consumer: "Consumer") -> None:
@@ -134,7 +116,7 @@ class ConsumptionSpace:
             raise ValueError(f"cell {loc} already holds a consumer")
         self._consumer_at[loc] = consumer.id
 
-    def move_consumer(self, consumer: "Consumer", to: GridLocation) -> bool:
+    def move_consumer(self, consumer: "Consumer", to: Cell) -> bool:
         """Move a consumer to an adjacent cell, updating `consumer.location`.
 
         Returns True when accepted; a cell occupied by another consumer
@@ -170,8 +152,8 @@ class ConsumptionSpace:
         if not self.products:
             self.field[y0:y1 + 1, x0:x1 + 1] = 0.0
             return
-        px = np.array([p.location.x for p in self.products.values()])
-        py = np.array([p.location.y for p in self.products.values()])
+        px = np.array([p.location[0] for p in self.products.values()])
+        py = np.array([p.location[1] for p in self.products.values()])
         xs = np.arange(x0, x1 + 1)
         ys = np.arange(y0, y1 + 1)
         dx = np.abs(xs[None, :, None] - px[None, None, :])
@@ -184,23 +166,24 @@ class ConsumptionSpace:
         """Recompute the whole proximity field from product locations."""
         self._paint_window(0, self.width - 1, 0, self.height - 1)
 
-    def _window_around(self, loc: GridLocation) -> tuple[int, int, int, int]:
+    def _window_around(self, loc: Cell) -> tuple[int, int, int, int]:
+        x, y = loc
         r = self.radius
-        return (max(0, loc.x - r), min(self.width - 1, loc.x + r),
-                max(0, loc.y - r), min(self.height - 1, loc.y + r))
+        return (max(0, x - r), min(self.width - 1, x + r),
+                max(0, y - r), min(self.height - 1, y + r))
 
-    def _max_in_product(self, loc: GridLocation) -> None:
+    def _max_in_product(self, loc: Cell) -> None:
         # fold one product's contribution into the field (max composition)
         x0, x1, y0, y1 = self._window_around(loc)
         xs = np.arange(x0, x1 + 1)
         ys = np.arange(y0, y1 + 1)
-        dist = np.abs(xs[None, :] - loc.x) + np.abs(ys[:, None] - loc.y)
+        dist = np.abs(xs[None, :] - loc[0]) + np.abs(ys[:, None] - loc[1])
         contrib = 1.0 - dist / self.radius
         np.maximum(contrib, 0.0, out=contrib)
         np.maximum(self.field[y0:y1 + 1, x0:x1 + 1], contrib,
                    out=self.field[y0:y1 + 1, x0:x1 + 1])
 
-    def relocate_product(self, instance_id: int, to: GridLocation) -> None:
+    def relocate_product(self, instance_id: int, to: Cell) -> None:
         """Move a product and update the field incrementally (bit-identical
         to a full rebuild)."""
         if not self.in_bounds(to):
@@ -217,36 +200,36 @@ class ConsumptionSpace:
         self._paint_window(*self._window_around(old))
         self._max_in_product(to)
 
-    def field_at(self, loc: GridLocation) -> float:
-        return float(self.field[loc.y, loc.x])
+    def field_at(self, loc: Cell) -> float:
+        return float(self.field[loc[1], loc[0]])
 
     # -- gradient movement targets -------------------------------------------
 
-    def ascend(self, loc: GridLocation) -> GridLocation:
+    def ascend(self, loc: Cell) -> Cell:
         """Neighbor with the largest field value, ties resolved by N, E, S, W
         order; returns `loc` when no neighbor strictly improves."""
         field = self.field
-        best = field[loc.y, loc.x]
-        best_cell = None
+        best = field[loc[1], loc[0]]
+        best_cell = loc
         for cell in self.neighbor_cells(*loc):
             v = field[cell[1], cell[0]]
             if v > best:
                 best = v
                 best_cell = cell
-        return loc if best_cell is None else as_location(best_cell)
+        return best_cell
 
-    def descend(self, loc: GridLocation) -> GridLocation:
+    def descend(self, loc: Cell) -> Cell:
         """Neighbor with the smallest field value, same tie rule; returns
         `loc` when no neighbor strictly decreases."""
         field = self.field
-        best = field[loc.y, loc.x]
-        best_cell = None
+        best = field[loc[1], loc[0]]
+        best_cell = loc
         for cell in self.neighbor_cells(*loc):
             v = field[cell[1], cell[0]]
             if v < best:
                 best = v
                 best_cell = cell
-        return loc if best_cell is None else as_location(best_cell)
+        return best_cell
 
     # -- respawn --------------------------------------------------------------
 
@@ -256,7 +239,7 @@ class ConsumptionSpace:
         return float(rng.normal(0.0, sigma)), float(rng.normal(0.0, sigma))
 
     def respawn_product(self, instance_id: int, rng: np.random.Generator,
-                        sigma: float) -> GridLocation:
+                        sigma: float) -> Cell:
         """Move a consumed product to old location + rounded Gaussian offsets,
         clamped to the grid. Cells already holding a product are re-drawn up
         to 100 times, then a row-major linear probe finds the next free cell.
@@ -266,23 +249,22 @@ class ConsumptionSpace:
         target = old
         for _ in range(100):
             ox, oy = self.draw_offsets(rng, sigma)
-            target = GridLocation(
-                min(self.width - 1, max(0, old.x + int(round(ox)))),
-                min(self.height - 1, max(0, old.y + int(round(oy)))))
+            target = (min(self.width - 1, max(0, old[0] + int(round(ox)))),
+                      min(self.height - 1, max(0, old[1] + int(round(oy)))))
             if self._product_at.get(target) in (None, instance_id):
                 break
         else:
             target = self._linear_probe(target, instance_id)
         self.relocate_product(instance_id, target)
-        inst.state = ProductState.AVAILABLE
+        inst.in_use = False
         return target
 
-    def _linear_probe(self, start: GridLocation, instance_id: int) -> GridLocation:
+    def _linear_probe(self, start: Cell, instance_id: int) -> Cell:
         total = self.width * self.height
-        idx = start.y * self.width + start.x
+        idx = start[1] * self.width + start[0]
         for k in range(1, total + 1):
             j = (idx + k) % total
-            loc = GridLocation(j % self.width, j // self.width)
+            loc = (j % self.width, j // self.width)
             if self._product_at.get(loc) in (None, instance_id):
                 return loc
         raise RuntimeError("no free cell for product respawn")

@@ -14,8 +14,7 @@ from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
 from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph
 from consumerlab.products import ProductType, ProductTopology, utility_from_edges
-from consumerlab.space import (ConsumptionSpace, GridLocation, ProductInstance,
-                               ProductState)
+from consumerlab.space import ConsumptionSpace, ProductInstance
 
 
 class StubWorld:
@@ -34,7 +33,7 @@ class StubWorld:
         self.respawned = []
         for k, (type_id, x, y) in enumerate(product_cells):
             self.space.place_product(
-                ProductInstance(k, type_id, GridLocation(x, y)))
+                ProductInstance(k, type_id, (x, y)))
         self.space.rebuild_field()
 
     def queue_respawn(self, instance_id):
@@ -60,7 +59,7 @@ def make_consumer(cid=0, x=5, y=5, ideal=None, world=None, threshold=-1.0,
     rng.uniform(0.0, 2.0, size=(16, 6))  # keeps each fixture's map weights
     conception = SelfOrganizingMap.random_init(8, 7, rng)
     consumer = Consumer(
-        id=cid, location=GridLocation(x, y),
+        id=cid, location=(x, y),
         ideal=np.full(6, 1.0) if ideal is None else np.asarray(ideal, float),
         attract=AttractivenessState(conception, threshold=threshold),
         recent_utilities=deque(maxlen=utility_window))
@@ -78,12 +77,13 @@ def make_consumer(cid=0, x=5, y=5, ideal=None, world=None, threshold=-1.0,
 
 
 def test_fresh_consumer_only_consumes_locally():
-    # fresh = counters at zero and a healthy initialized social network
+    # fresh = counters at zero and a healthy initialized social network; no
+    # situation is active, so act falls through to foraging
     world = StubWorld(social=True)
     c = make_consumer(world=world)
     for other in (1, 2, 3):
         world.network.add_tie(0, other, 0.5)
-    assert evaluate_situations(c, world) == {Situation.CONSUME_LOCALLY}
+    assert evaluate_situations(c, world) == set()
 
 
 def test_low_degree_weak_ties_triggers_friend_search():
@@ -177,13 +177,13 @@ def test_dissatisfied_aborts_consumption():
     world = StubWorld(types=[make_type()], product_cells=[(0, 5, 5)])
     c = make_consumer(world=world)
     instance = world.space.products[0]
-    instance.state = ProductState.BEING_CONSUMED
+    instance.in_use = True
     c.consuming = ActiveConsumption(0, 3)
     c.recent_utilities.append(-0.5)
     evaluate_situations(c, world)
     act(c, world, np.random.default_rng(0))
     assert c.consuming is None
-    assert instance.state is ProductState.AVAILABLE
+    assert instance.in_use is False
     assert c.dissatisfaction_count == 1
     assert len(c.recent_utilities) == 0
     assert (Situation.CHANGE_LOCATION in c.active_situations
@@ -216,7 +216,7 @@ def test_begin_consumption_on_matching_product():
     c = make_consumer(world=world, ideal=np.full(6, 1.0), threshold=-1.0)
     began = try_begin_consumption(c, world.space.products[0], world)
     assert began
-    assert world.space.products[0].state is ProductState.BEING_CONSUMED
+    assert world.space.products[0].in_use is True
     assert c.consuming.remaining == world.config.consumption_cycles
     assert c.failed_search_count == 0
 
@@ -414,7 +414,7 @@ def test_spatial_approach_enters_navigation():
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = True
     interact_socially(c, world, np.random.default_rng(0))
-    assert c.nav_target == GridLocation(15, 5)
+    assert c.nav_target == (15, 5)
 
 
 def test_navigation_walks_to_adjacency():
@@ -433,7 +433,7 @@ def test_navigation_walks_to_adjacency():
             break
     assert c.nav_target is None
     assert c.nav_budget == 0
-    assert abs(c.location.x - 10) + abs(c.location.y - 5) <= 1
+    assert abs(c.location[0] - 10) + abs(c.location[1] - 5) <= 1
 
 
 def test_interaction_alternates_effects():
@@ -446,7 +446,7 @@ def test_interaction_alternates_effects():
     interact_socially(c, world, np.random.default_rng(0))
     assert c.nav_target is None                   # value effect
     interact_socially(c, world, np.random.default_rng(0))
-    assert c.nav_target == GridLocation(20, 20)   # approach
+    assert c.nav_target == (20, 20)   # approach
 
 
 def test_interaction_without_neighbors_is_noop():
@@ -481,10 +481,10 @@ def test_forage_climbs_gradient():
     world = StubWorld(social=False, types=[ptype], product_cells=[(0, 10, 5)])
     c = make_consumer(world=world, x=5, y=5)
     rng = np.random.default_rng(0)
-    before = abs(c.location.x - 10) + abs(c.location.y - 5)
+    before = abs(c.location[0] - 10) + abs(c.location[1] - 5)
     evaluate_situations(c, world)
     act(c, world, rng)
-    after = abs(c.location.x - 10) + abs(c.location.y - 5)
+    after = abs(c.location[0] - 10) + abs(c.location[1] - 5)
     assert after == before - 1
 
 
@@ -494,7 +494,7 @@ def test_forage_random_walks_on_plateau():
     rng = np.random.default_rng(0)
     evaluate_situations(c, world)
     act(c, world, rng)
-    assert c.location != GridLocation(5, 5)
+    assert c.location != (5, 5)
 
 
 def test_blocked_consumer_stays_put():
@@ -506,13 +506,13 @@ def test_blocked_consumer_stays_put():
     rng = np.random.default_rng(0)
     evaluate_situations(c, world)
     act(c, world, rng)
-    assert c.location == GridLocation(1, 1)
+    assert c.location == (1, 1)
 
 
 def test_product_being_consumed_treated_as_absent():
     ptype = make_type(signature=np.full(6, 1.0))
     world = StubWorld(social=False, types=[ptype], product_cells=[(0, 5, 5)])
-    world.space.products[0].state = ProductState.BEING_CONSUMED
+    world.space.products[0].in_use = True
     c = make_consumer(world=world, x=5, y=5, threshold=-1.0)
     rng = np.random.default_rng(0)
     evaluate_situations(c, world)

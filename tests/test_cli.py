@@ -312,6 +312,25 @@ def test_analyze_incomplete_pair_fails(tmp_path, config_file, capsys):
     assert "8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alias", ["run_07_social.csv", "run_٧_social.csv"])
+@pytest.mark.parametrize("with_canonical", [True, False])
+def test_analyze_rejects_aliased_seed(tmp_path, config_file, capsys, alias,
+                                      with_canonical):
+    # a second file for seed 7's social arm used to replace the first, and
+    # analyze reported one pair fewer with exit 0
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--pairs", "1", "--seed-base", "7",
+                 "--config", config_file, "--out-dir", str(out_dir)]) == 0
+    os.link(out_dir / "run_7_social.csv", out_dir / alias)
+    if not with_canonical:
+        os.unlink(out_dir / "run_7_social.csv")
+    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert alias in err and "run_7_social.csv" in err, err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys):
     out_dir = tmp_path / "exp"
     assert main(["experiment", "--pairs", "1", "--seed-base", "8",

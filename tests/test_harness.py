@@ -22,7 +22,6 @@ from consumerlab.harness import (ConfigError, RunConfig, World, batch,
                                  write_run_csv, write_summary_csv,
                                  SUMMARY_HEADER)
 from consumerlab.products import signature_matrix
-from consumerlab.space import GridLocation
 
 # small but structurally faithful configuration: same densities as the
 # reference setup at roughly 1/16 the area
@@ -135,7 +134,7 @@ def test_audit_catches_location_desync():
     consumer = world.consumers[0]
     x, y = consumer.location
     # the record moves, the occupancy index does not
-    consumer.location = GridLocation(x, y + 1 if y == 0 else y - 1)
+    consumer.location = (x, y + 1 if y == 0 else y - 1)
     with pytest.raises(AssertionError, match="location desync"):
         world.audit()
 
@@ -193,6 +192,22 @@ def test_nonsocial_network_never_mutates():
 def test_social_network_does_mutate():
     result = run(small(cycles=200, social=True))
     assert result.network_checksum_start != result.network_checksum_end
+
+
+def test_tie_order_golden():
+    # a crowded social world where several contacts form new ties in one
+    # cycle: pins the order of TieGraph.strengthen calls end to end, which
+    # only reaches the run CSVs through mean_strength's summation order
+    world = init_world(RunConfig(seed=11, width=12, height=10, n_consumers=40,
+                                 n_types=8, replicas_per_type=2, ws_degree=2,
+                                 tie_decay=0.05, social=True))
+    for _ in range(300):
+        world.step()
+    order = [list(world.network.neighbors(a)) for a in range(40)]
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == \
+        "db2b54953309a3d387a682f1267b98967712525c7c632ee7682f530a2115d07e"
+    assert world.state_checksum() == \
+        "d803c5340f49d84f7d617a2ad9e64a2c7005be1742d3df07c487aa123d7e1cef"
 
 
 def test_batch_matches_run_pair():

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from consumerlab.space import (ConsumptionSpace, GridLocation, ProductInstance,
-                               ProductState, manhattan)
+from consumerlab.space import ConsumptionSpace, ProductInstance, manhattan
 
 
 def make_space(width=20, height=20, radius=5, products=()):
     space = ConsumptionSpace(width, height, radius)
     for k, (x, y) in enumerate(products):
-        space.place_product(ProductInstance(k, 0, GridLocation(x, y)))
+        space.place_product(ProductInstance(k, 0, (x, y)))
     space.rebuild_field()
     return space
 
@@ -25,34 +24,33 @@ def make_space(width=20, height=20, radius=5, products=()):
 
 def test_interior_cell_has_four_neighbors_in_nesw_order():
     space = make_space()
-    nbs = space.von_neumann_neighbors(GridLocation(5, 5))
-    assert nbs == [GridLocation(5, 4), GridLocation(6, 5),
-                   GridLocation(5, 6), GridLocation(4, 5)]
+    nbs = space.von_neumann_neighbors((5, 5))
+    assert nbs == [(5, 4), (6, 5), (5, 6), (4, 5)]
 
 
 def test_corner_cell_has_two_neighbors():
     space = make_space()
-    assert len(space.von_neumann_neighbors(GridLocation(0, 0))) == 2
-    assert len(space.von_neumann_neighbors(GridLocation(19, 19))) == 2
+    assert len(space.von_neumann_neighbors((0, 0))) == 2
+    assert len(space.von_neumann_neighbors((19, 19))) == 2
 
 
 def test_edge_cell_has_three_neighbors():
     space = make_space()
-    assert len(space.von_neumann_neighbors(GridLocation(0, 7))) == 3
+    assert len(space.von_neumann_neighbors((0, 7))) == 3
 
 
 def reference_neighbors(width, height, loc):
-    # the neighbourhood as first written, one GridLocation per cell
+    # the neighbourhood as first written, one tuple per cell
     x, y = loc
     out = []
     if y > 0:
-        out.append(GridLocation(x, y - 1))
+        out.append((x, y - 1))
     if x < width - 1:
-        out.append(GridLocation(x + 1, y))
+        out.append((x + 1, y))
     if y < height - 1:
-        out.append(GridLocation(x, y + 1))
+        out.append((x, y + 1))
     if x > 0:
-        out.append(GridLocation(x - 1, y))
+        out.append((x - 1, y))
     return out
 
 
@@ -65,11 +63,11 @@ def test_neighborhoods_match_reference_on_every_cell(width, height):
     space = make_space(width=width, height=height)
     for x in range(width):
         for y in range(height):
-            loc = GridLocation(x, y)
+            loc = (x, y)
             want = reference_neighbors(width, height, loc)
             got = space.von_neumann_neighbors(loc)
             assert got == want
-            assert all(type(nb) is GridLocation for nb in got)
+            assert all(type(nb) is tuple for nb in got)
             assert space.neighbor_cells(x, y) == want
 
 
@@ -102,8 +100,8 @@ def test_free_neighbor_cells_skip_consumers_in_nesw_order():
     space = make_space(width=3, height=3)
     place(space, 0, 1, 0)
     place(space, 1, 1, 2)
-    assert space.free_neighbor_cells(GridLocation(1, 1)) == [(2, 1), (0, 1)]
-    assert space.free_neighbor_cells(GridLocation(0, 0)) == [(0, 1)]
+    assert space.free_neighbor_cells((1, 1)) == [(2, 1), (0, 1)]
+    assert space.free_neighbor_cells((0, 0)) == [(0, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def test_free_neighbor_cells_skip_consumers_in_nesw_order():
 
 
 def place(space, cid, x, y):
-    consumer = SimpleNamespace(id=cid, location=GridLocation(x, y))
+    consumer = SimpleNamespace(id=cid, location=(x, y))
     space.place_consumer(consumer)
     return consumer
 
@@ -119,33 +117,33 @@ def place(space, cid, x, y):
 def test_move_into_empty_neighbor_accepted():
     space = make_space()
     c = place(space, 0, 3, 3)
-    assert space.move_consumer(c, GridLocation(3, 4)) is True
-    assert c.location == GridLocation(3, 4)
-    assert space.consumer_at(GridLocation(3, 4)) == 0
-    assert space.consumer_at(GridLocation(3, 3)) is None
+    assert space.move_consumer(c, (3, 4)) is True
+    assert c.location == (3, 4)
+    assert space.consumer_at((3, 4)) == 0
+    assert space.consumer_at((3, 3)) is None
 
 
 def test_move_into_occupied_cell_rejected():
     space = make_space()
     c = place(space, 0, 3, 3)
     place(space, 1, 3, 4)
-    assert space.move_consumer(c, GridLocation(3, 4)) is False
-    assert c.location == GridLocation(3, 3)
-    assert space.consumer_at(GridLocation(3, 4)) == 1
+    assert space.move_consumer(c, (3, 4)) is False
+    assert c.location == (3, 3)
+    assert space.consumer_at((3, 4)) == 1
 
 
 def test_move_to_current_location_is_accepted_noop():
     space = make_space()
     c = place(space, 0, 3, 3)
-    assert space.move_consumer(c, GridLocation(3, 3)) is True
-    assert c.location == GridLocation(3, 3)
+    assert space.move_consumer(c, (3, 3)) is True
+    assert c.location == (3, 3)
 
 
 def test_move_to_non_adjacent_cell_raises():
     space = make_space()
     c = place(space, 0, 3, 3)
     with pytest.raises(ValueError):
-        space.move_consumer(c, GridLocation(5, 3))
+        space.move_consumer(c, (5, 3))
 
 
 def test_two_consumers_cannot_share_a_cell():
@@ -158,7 +156,7 @@ def test_two_consumers_cannot_share_a_cell():
 def test_two_products_cannot_share_a_cell():
     space = make_space(products=[(4, 4)])
     with pytest.raises(ValueError):
-        space.place_product(ProductInstance(9, 1, GridLocation(4, 4)))
+        space.place_product(ProductInstance(9, 1, (4, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +165,25 @@ def test_two_products_cannot_share_a_cell():
 
 def test_field_is_one_on_product_cell():
     space = make_space(products=[(10, 10)])
-    assert space.field_at(GridLocation(10, 10)) == 1.0
+    assert space.field_at((10, 10)) == 1.0
 
 
 def test_field_is_zero_beyond_radius():
     space = make_space(products=[(10, 10)], radius=5)
-    assert space.field_at(GridLocation(10, 16)) == 0.0
-    assert space.field_at(GridLocation(2, 2)) == 0.0
+    assert space.field_at((10, 16)) == 0.0
+    assert space.field_at((2, 2)) == 0.0
 
 
 def test_field_linear_decay_in_manhattan_distance():
     space = make_space(products=[(10, 10)], radius=5)
-    assert space.field_at(GridLocation(10, 12)) == pytest.approx(1.0 - 2.0 / 5.0)
-    assert space.field_at(GridLocation(12, 12)) == pytest.approx(1.0 - 4.0 / 5.0)
+    assert space.field_at((10, 12)) == pytest.approx(1.0 - 2.0 / 5.0)
+    assert space.field_at((12, 12)) == pytest.approx(1.0 - 4.0 / 5.0)
 
 
 def test_field_max_composition_of_two_products():
     space = make_space(products=[(5, 5), (8, 5)], radius=5)
     # midpoint cell: distance 2 to one product, 1 to the other; max wins
-    loc = GridLocation(7, 5)
+    loc = (7, 5)
     expected = max(1.0 - 2.0 / 5.0, 1.0 - 1.0 / 5.0)
     assert space.field_at(loc) == pytest.approx(expected)
 
@@ -194,10 +192,10 @@ def test_greedy_ascent_reaches_a_product_within_initial_distance():
     # brute-force path check over every positive-field start cell
     space = make_space(width=20, height=20, radius=6,
                        products=[(4, 4), (15, 9), (9, 17)])
-    product_cells = {GridLocation(4, 4), GridLocation(15, 9), GridLocation(9, 17)}
+    product_cells = {(4, 4), (15, 9), (9, 17)}
     for x in range(20):
         for y in range(20):
-            start = GridLocation(x, y)
+            start = (x, y)
             if space.field_at(start) <= 0.0:
                 continue
             budget = min(manhattan(start, p) for p in product_cells)
@@ -213,22 +211,22 @@ def test_ascend_tie_break_is_deterministic_nesw():
     # two products equidistant east and west; enumerate neighbor values
     space = make_space(width=21, height=21, radius=6,
                        products=[(6, 10), (14, 10)])
-    loc = GridLocation(10, 10)
+    loc = (10, 10)
     values = {nb: space.field_at(nb) for nb in space.von_neumann_neighbors(loc)}
     best = max(values.values())
     expected = next(nb for nb in space.von_neumann_neighbors(loc)
                     if values[nb] == best)
     assert space.ascend(loc) == expected
     # east comes before west in N,E,S,W order
-    assert expected == GridLocation(11, 10)
+    assert expected == (11, 10)
 
 
 def reference_steepest(space, loc, better):
     # ascend / descend as first written: the first strictly better
     # neighbour in N, E, S, W order wins
-    best, best_loc = space.field[loc.y, loc.x], loc
+    best, best_loc = space.field[loc[1], loc[0]], loc
     for nb in reference_neighbors(space.width, space.height, loc):
-        v = space.field[nb.y, nb.x]
+        v = space.field[nb[1], nb[0]]
         if better(v, best):
             best, best_loc = v, nb
     return best_loc
@@ -244,28 +242,28 @@ def test_ascend_descend_match_reference_with_exact_ties(width, height):
         space.field[:] = rng.integers(0, 3, size=(height, width)) / 2.0
         for x in range(width):
             for y in range(height):
-                loc = GridLocation(x, y)
+                loc = (x, y)
                 up = space.ascend(loc)
                 down = space.descend(loc)
                 assert up == reference_steepest(space, loc, lambda v, b: v > b)
                 assert down == reference_steepest(space, loc, lambda v, b: v < b)
-                assert type(up) is GridLocation and type(down) is GridLocation
+                assert type(up) is tuple and type(down) is tuple
 
 
 def test_ascend_plateau_returns_location():
     space = make_space(products=[])
-    assert space.ascend(GridLocation(5, 5)) == GridLocation(5, 5)
+    assert space.ascend((5, 5)) == (5, 5)
 
 
 def test_descend_single_product_moves_away():
     space = make_space(products=[(10, 10)], radius=8)
-    nxt = space.descend(GridLocation(10, 11))
-    assert space.field_at(nxt) < space.field_at(GridLocation(10, 11))
+    nxt = space.descend((10, 11))
+    assert space.field_at(nxt) < space.field_at((10, 11))
 
 
 def test_descend_plateau_returns_location():
     space = make_space(products=[])
-    assert space.descend(GridLocation(2, 2)) == GridLocation(2, 2)
+    assert space.descend((2, 2)) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -276,21 +274,21 @@ def test_respawn_sigma_zero_stays_in_place():
     space = make_space(products=[(10, 10)])
     rng = np.random.default_rng(0)
     loc = space.respawn_product(0, rng, sigma=0.0)
-    assert loc == GridLocation(10, 10)
-    assert space.products[0].state is ProductState.AVAILABLE
+    assert loc == (10, 10)
+    assert space.products[0].in_use is False
 
 
 def test_respawn_sigma_zero_probes_when_cell_taken():
     space = make_space(products=[(10, 10)])
     rng = np.random.default_rng(0)
-    space.products[0].state = ProductState.BEING_CONSUMED
+    space.products[0].in_use = True
     # a second product parked on the respawn target forces the linear probe
-    space.place_product(ProductInstance(1, 0, GridLocation(10, 11)))
+    space.place_product(ProductInstance(1, 0, (10, 11)))
     space.rebuild_field()
     # relocate first product onto its own cell is fine (it vacates first);
     # park it where the probe must skip the occupied cell
     loc = space.respawn_product(0, rng, sigma=0.0)
-    assert loc == GridLocation(10, 10)
+    assert loc == (10, 10)
 
 
 def test_respawn_always_lands_in_bounds():
@@ -298,7 +296,7 @@ def test_respawn_always_lands_in_bounds():
     rng = np.random.default_rng(42)
     for _ in range(10_000):
         loc = space.respawn_product(0, rng, sigma=10.0)
-        assert 0 <= loc.x < 30 and 0 <= loc.y < 30
+        assert 0 <= loc[0] < 30 and 0 <= loc[1] < 30
 
 
 def test_respawn_offsets_pass_ks_against_gaussian():
@@ -338,6 +336,6 @@ def test_incremental_field_update_is_bit_exact():
 def test_rebuild_with_no_products_zeroes_field():
     space = make_space(products=[(3, 3)])
     del space.products[0]
-    del space._product_at[GridLocation(3, 3)]
+    del space._product_at[(3, 3)]
     space.rebuild_field()
     assert not space.field.any()

@@ -7,8 +7,10 @@ archive` into `.bench_ab/` and removed afterwards. For every workload of
 BENCHMARK.json, each pair runs `benchmark/run.py --workload W --seed S
 --seconds <run_seconds> --trace 0` once on each side, on the same seed, for
 the ten seeds of SEEDS, and the side that runs first alternates from pair to
-pair. After the rounds, one `--trace 1` run per side at the held-out seed 11
-gives the per-layer metrics.
+pair. After the rounds, three alternating pairs of `--trace 1` runs at the
+held-out seed 11 give the per-layer metrics: every traced value is kept,
+with each side's median and quartiles per layer, because host load moves a
+single traced run by more than most changes do.
 
 For every end-to-end metric of BENCHMARK.json the file records each side's
 values, median and quartiles, the pairs the change won (ties count for
@@ -37,6 +39,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORK = os.path.join(ROOT, ".bench_ab")
 # the held-out seed 11 first: it also gives the traced runs
 SEEDS = (11, 21, 22, 23, 24, 25, 26, 27, 28, 29)
+TRACED_PAIRS = 3
 
 
 def git(*args: str) -> str:
@@ -92,11 +95,25 @@ def bench(root: str, workload: str, seed: int, seconds: float,
                         for name, m in result["metrics"].items()}}
 
 
+def alternate(k: int) -> tuple[str, str]:
+    """The order of the two sides in pair `k`: the parent runs first in
+    pairs 0, 2, 4, ..."""
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
 def spread(values: list[float]) -> dict:
     q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
                  else (values[0],) * 3)
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "values": values}
+
+
+def per_layer(traced: list[dict]) -> dict:
+    """Each side's spread of every metric its traced runs report."""
+    return {side: {name: spread([pair[side]["metrics"][name]
+                                 for pair in traced])
+                   for name in traced[0][side]["metrics"]}
+            for side in ("parent", "change")}
 
 
 def compare(pairs: list[dict], metric: dict) -> dict:
@@ -143,7 +160,7 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "change": f"working tree on {parent_rev}",
         "settings": {"seconds": seconds, "seeds": list(seeds),
-                     "trace_seed": seeds[0],
+                     "trace_seed": seeds[0], "traced_pairs": TRACED_PAIRS,
                      "order": "alternating; the parent runs first in "
                               "pairs 1, 3, 5, ..."},
         "env": None,
@@ -154,7 +171,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             pairs = []
             for k, seed in enumerate(seeds):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                order = alternate(k)
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = bench(sides[side], workload, seed, seconds, 0)
@@ -165,18 +182,23 @@ def main(argv=None) -> int:
                     f"correct={pair[side]['correct']}"
                     for side in ("parent", "change")), flush=True)
                 pairs.append(pair)
-            traced = {side: bench(sides[side], workload, seeds[0], seconds, 1)
-                      for side in ("parent", "change")}
-            for run in traced.values():
-                run.pop("env")
-            runs = pairs + [traced]
+            traced = []
+            for k in range(TRACED_PAIRS):
+                pair = {"first": alternate(k)[0]}
+                for side in alternate(k):
+                    pair[side] = bench(sides[side], workload, seeds[0],
+                                       seconds, 1)
+                    pair[side].pop("env")
+                traced.append(pair)
+            runs = pairs + traced
             report["workloads"][workload] = {
                 "all_correct": all(r[side]["correct"] and not r[side]["failed"]
                                    for r in runs for side in ("parent", "change")),
                 "metrics": {m["name"]: compare(pairs, m)
                             for m in spec["end_to_end"]},
                 "runs": pairs,
-                "trace": {"seed": seeds[0], **traced},
+                "trace": {"seed": seeds[0], "runs": traced,
+                          "per_layer": per_layer(traced)},
             }
     finally:
         if "parent" in sides:
