@@ -3,32 +3,35 @@ influence.
 
 A consumer holds a value vector (its ideal signature), an experience map
 with its attractiveness threshold, and a handful of frustration counters.
-Each cycle it evaluates which situations are active and fires exactly one
-primary action, chosen by a fixed priority order:
+Each cycle it evaluates its situations, one bool field each on the
+consumer, and fires exactly one primary action, chosen by a fixed
+priority order:
 
-    Dissatisfied > SearchForAFriend > (navigating) > InteractSocially >
-    Bored > ChangeLocation > ChangeValues > (foraging)
+    dissatisfied > find_friend > (navigating) > interact > bored >
+    change_location > change_values > (foraging)
 
 Overlapping situations may be active at once; the priority order resolves
-conflicts. Foraging (consume the product underfoot, else climb the
+conflicts. `dissatisfied`, `bored`, `interact` and `find_friend` are
+re-evaluated every cycle; `change_location` and `change_values` are set by
+a decline, boredom or dissatisfaction and persist until their action
+clears them. Foraging (consume the product underfoot, else climb the
 proximity gradient) is the default action when nothing above claims the
-cycle; it is not a member of the situation set. A consumer with a
-navigation target walks toward it instead of interacting, changing or
-foraging. Social influence acts on one neighbour only: the most admired
-one with consumption history, else the most similar one. All randomness
-flows through the run's cycle stream, so equal seeds give identical action
-traces.
+cycle. A consumer with a navigation target walks toward it instead of
+interacting, changing or foraging. Social influence acts on one neighbour
+only: the most admired one with consumption history, else the most
+similar one. All randomness flows through the run's cycle stream, so
+equal seeds give identical action traces.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import network
 from .cognition import AttractivenessState
 from .products import valuation
 from .space import Cell, manhattan
@@ -37,52 +40,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from .harness import World
 
 
-class Situation(enum.Enum):
-    INTERACT_SOCIALLY = "interact-socially"
-    BORED = "bored"
-    DISSATISFIED = "dissatisfied"
-    CHANGE_LOCATION = "change-location"
-    CHANGE_VALUES = "change-values"
-    SEARCH_FOR_A_FRIEND = "search-for-a-friend"
-
-    # Enum hashes by name, a salted string hash; by identity the per-cycle
-    # situation sets are cheaper. Their iteration order was never stable
-    # across processes, and nothing reads it.
-    __hash__ = object.__hash__
-
-
-# the members as module globals: the rules test them up to ten times per
-# consumer per cycle, and on Python 3.11 reading a member off the Enum
-# class costs several times a global lookup
-INTERACT_SOCIALLY = Situation.INTERACT_SOCIALLY
-BORED = Situation.BORED
-DISSATISFIED = Situation.DISSATISFIED
-CHANGE_LOCATION = Situation.CHANGE_LOCATION
-CHANGE_VALUES = Situation.CHANGE_VALUES
-SEARCH_FOR_A_FRIEND = Situation.SEARCH_FOR_A_FRIEND
-
-# situations that persist across cycles once activated (they are switched
-# on by Bored/Dissatisfied and switched off when their work is done)
-_PERSISTENT = frozenset((CHANGE_LOCATION, CHANGE_VALUES))
-
-
-@dataclass
-class ActiveConsumption:
-    instance_id: int
-    remaining: int
-
-
 @dataclass
 class Consumer:
     id: int
     location: Cell
     ideal: np.ndarray
     attract: AttractivenessState
-    active_situations: set = field(default_factory=set)
+    # situations: the first four are re-evaluated every cycle, the two
+    # change situations persist until their action clears them
+    dissatisfied: bool = False
+    bored: bool = False
+    interact: bool = False
+    find_friend: bool = False
+    change_location: bool = False
+    change_values: bool = False
     boredom_count: int = 0
     dissatisfaction_count: int = 0
     failed_search_count: int = 0
-    consuming: ActiveConsumption | None = None
+    # the product instance being consumed, and the cycles it still takes
+    consuming: int | None = None
+    consume_left: int = 0
     recent_utilities: deque = field(default_factory=lambda: deque(maxlen=10))
     units_consumed: int = 0
     utility_total: float = 0.0
@@ -95,59 +72,54 @@ class Consumer:
     escape_budget: int = 0
 
 
-def evaluate_situations(consumer: Consumer, world: "World") -> set:
+def evaluate_situations(consumer: Consumer, world: "World") -> None:
     """Run the situation production rules against the consumer's state and
     local observables. Previously activated change situations persist until
     they complete."""
     cfg = world.config
-    sits = consumer.active_situations & _PERSISTENT
-    if sum(consumer.recent_utilities) < 0.0:
-        sits.add(DISSATISFIED)
-    if consumer.boredom_count >= cfg.boredom_limit:
-        sits.add(BORED)
+    consumer.dissatisfied = sum(consumer.recent_utilities) < 0.0
+    consumer.bored = consumer.boredom_count >= cfg.boredom_limit
     if world.social:
         frustrated = (consumer.dissatisfaction_count >= cfg.frustration_limit
                       or consumer.failed_search_count >= cfg.frustration_limit)
-        if consumer.consuming is None and frustrated:
-            sits.add(INTERACT_SOCIALLY)
+        consumer.interact = consumer.consuming is None and frustrated
         g = world.network
-        if (g.degree(consumer.id) <= 2
-                and g.mean_strength(consumer.id) < cfg.tie_strength_floor):
-            sits.add(SEARCH_FOR_A_FRIEND)
-    consumer.active_situations = sits
-    return sits
+        consumer.find_friend = (
+            g.degree(consumer.id) <= 2
+            and g.mean_strength(consumer.id) < cfg.tie_strength_floor)
+    else:
+        consumer.interact = consumer.find_friend = False
 
 
 def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
     """Fire the consumer's one primary action for this cycle."""
-    sits = consumer.active_situations
-    if DISSATISFIED in sits:
+    if consumer.dissatisfied:
         _fire_dissatisfied(consumer, world)
         return
     if consumer.consuming is not None:
-        consumer.consuming.remaining -= 1
-        if consumer.consuming.remaining <= 0:
+        consumer.consume_left -= 1
+        if consumer.consume_left <= 0:
             complete_consumption(consumer, world)
             return
-        if SEARCH_FOR_A_FRIEND in sits:
+        if consumer.find_friend:
             _fire_referral(consumer, world, rng)
         return
-    if SEARCH_FOR_A_FRIEND in sits:
+    if consumer.find_friend:
         _fire_referral(consumer, world, rng)
         return
     if consumer.nav_target is not None:
         _navigation_step(consumer, world)
         return
-    if INTERACT_SOCIALLY in sits:
-        interact_socially(consumer, world, rng)
+    if consumer.interact:
+        interact_socially(consumer, world)
         return
-    if BORED in sits:
+    if consumer.bored:
         _fire_bored(consumer, world)
         return
-    if CHANGE_LOCATION in sits:
+    if consumer.change_location:
         _escape_step(consumer, world, rng)
         return
-    if CHANGE_VALUES in sits:
+    if consumer.change_values:
         _perturb_values(consumer, world, rng)
         return
     _forage(consumer, world, rng)
@@ -175,8 +147,8 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
     if predicted >= consumer.attract.threshold \
             and valuation(consumer.ideal, signature) <= cfg.max_valuation_gap:
         instance.in_use = True
-        consumer.consuming = ActiveConsumption(instance.instance_id,
-                                               cfg.consumption_cycles)
+        consumer.consuming = instance.instance_id
+        consumer.consume_left = cfg.consumption_cycles
         consumer.boredom_count = 0
         consumer.failed_search_count = 0
         return True
@@ -186,7 +158,7 @@ def try_begin_consumption(consumer: Consumer, instance, world: "World") -> bool:
             -1.0, consumer.attract.threshold
             + cfg.threshold_rate * cfg.decline_relaxation * gap)
     consumer.failed_search_count += 1
-    consumer.active_situations.add(CHANGE_LOCATION)
+    consumer.change_location = True
     consumer.escape_budget = cfg.escape_cycles
     return False
 
@@ -196,8 +168,8 @@ def complete_consumption(consumer: Consumer, world: "World") -> float:
     map, adapt the threshold, shift the ideal, and queue the product's
     respawn."""
     cfg = world.config
-    active = consumer.consuming
-    instance = world.space.products[active.instance_id]
+    instance_id = consumer.consuming
+    instance = world.space.products[instance_id]
     ptype = world.types[instance.type_id]
     realized = ptype.utility
     consumer.consuming = None
@@ -210,7 +182,7 @@ def complete_consumption(consumer: Consumer, world: "World") -> float:
     consumer.recent_utilities.append(realized)
     consumer.units_consumed += 1
     consumer.utility_total += realized
-    world.queue_respawn(active.instance_id)
+    world.queue_respawn(instance_id)
     return realized
 
 
@@ -246,8 +218,7 @@ def influence_target(consumer: Consumer, network, consumers) -> int | None:
                key=lambda b: valuation(consumer.ideal, consumers[b].ideal))
 
 
-def interact_socially(consumer: Consumer, world: "World",
-                      rng: np.random.Generator) -> bool:
+def interact_socially(consumer: Consumer, world: "World") -> bool:
     """One social influence event with the consumer's influence target.
 
     The effect alternates per agent between value influence (pull the
@@ -274,10 +245,8 @@ def interact_socially(consumer: Consumer, world: "World",
 
 def _fire_referral(consumer: Consumer, world: "World",
                    rng: np.random.Generator) -> None:
-    from .network import referral
-
-    referral(world.network, consumer.id, rng,
-             strength=world.config.referral_strength)
+    network.referral(world.network, consumer.id, rng,
+                     strength=world.config.referral_strength)
 
 
 def _navigation_step(consumer: Consumer, world: "World") -> None:
@@ -311,7 +280,7 @@ def _fire_dissatisfied(consumer: Consumer, world: "World") -> None:
     # or value change, alternating per agent)
     consumer.dissatisfaction_count += 1
     if consumer.consuming is not None:
-        instance = world.space.products[consumer.consuming.instance_id]
+        instance = world.space.products[consumer.consuming]
         instance.in_use = False
         consumer.consuming = None
     _exit_navigation(consumer)
@@ -326,10 +295,10 @@ def _fire_bored(consumer: Consumer, world: "World") -> None:
 
 def _activate_change(consumer: Consumer, world: "World") -> None:
     if consumer.change_location_next:
-        consumer.active_situations.add(CHANGE_LOCATION)
+        consumer.change_location = True
         consumer.escape_budget = world.config.escape_cycles
     else:
-        consumer.active_situations.add(CHANGE_VALUES)
+        consumer.change_values = True
     consumer.change_location_next = not consumer.change_location_next
 
 
@@ -348,7 +317,7 @@ def _escape_step(consumer: Consumer, world: "World",
     if nb is not None and nb != consumer.location:
         space.move_consumer(consumer, nb)
     if consumer.escape_budget <= 0:
-        consumer.active_situations.discard(CHANGE_LOCATION)
+        consumer.change_location = False
         consumer.escape_budget = 0
 
 
@@ -358,7 +327,7 @@ def _perturb_values(consumer: Consumer, world: "World",
     magnitude = world.config.perturb_magnitude
     offsets = rng.uniform(-magnitude, magnitude, size=consumer.ideal.shape)
     consumer.ideal = np.maximum(consumer.ideal + offsets, 0.0)
-    consumer.active_situations.discard(CHANGE_VALUES)
+    consumer.change_values = False
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +350,8 @@ def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> Non
     if pid is not None:
         instance = space.products[pid]
         if not instance.in_use:
-            if try_begin_consumption(consumer, instance, world):
-                return
-            # declined; the escape scheduled by the decline starts next cycle
+            # on a decline, the escape it schedules starts next cycle
+            try_begin_consumption(consumer, instance, world)
             return
         # a product someone else is consuming is treated as absent
     nb = space.ascend(consumer.location)

@@ -178,8 +178,9 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
 
 def cmd_experiment(args) -> int:
     config = _validated_config(args)
-    pairs = batch(args.pairs, args.seed_base, config, workers=args.workers)
+    # an unusable output directory fails before any pair runs
     os.makedirs(args.out_dir, exist_ok=True)
+    pairs = batch(args.pairs, args.seed_base, config, workers=args.workers)
     flat: list[RunResult] = []
     for pair in pairs:
         for result in (pair.social, pair.nonsocial):

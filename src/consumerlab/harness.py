@@ -390,14 +390,6 @@ class PeriodSample:
     units: list[int]
     utility: list[float]
     ideals: np.ndarray          # (n_consumers, 6)
-    total_units: int
-    total_utility: float
-
-
-def make_sample(cycle: int, units: list[int], utility: list[float],
-                ideals: np.ndarray) -> PeriodSample:
-    return PeriodSample(cycle, units, utility, ideals,
-                        sum(units), sum(utility))
 
 
 @dataclass
@@ -457,10 +449,13 @@ def run_metrics(samples: list[PeriodSample], config: RunConfig) -> RunMetrics:
     the transient window (first `transient_cycles` cycles)."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    total_units = np.array([s.total_units for s in samples], dtype=float)
-    total_utility = np.array([s.total_utility for s in samples], dtype=float)
-    overall_units = sum(s.total_units for s in samples)
-    overall_utility = sum(s.total_utility for s in samples)
+    # Python left-to-right sums: np.sum is pairwise and rounds differently
+    period_units = [sum(s.units) for s in samples]
+    period_utility = [sum(s.utility) for s in samples]
+    total_units = np.array(period_units, dtype=float)
+    total_utility = np.array(period_utility, dtype=float)
+    overall_units = sum(period_units)
+    overall_utility = sum(period_utility)
     trajectories = np.stack([s.ideals for s in samples], axis=1)  # (n, T, 6)
     coverage = value_coverage(trajectories, config.coverage_cell_width)
     paths = value_path_length(trajectories)
@@ -522,7 +517,7 @@ def run(config: RunConfig, audit_every: int = 0) -> RunResult:
             utility = [world.consumers[i].utility_total - last_utility[i]
                        for i in range(n)]
             ideals = np.array([world.consumers[i].ideal for i in range(n)])
-            samples.append(make_sample(cycle, units, utility, ideals))
+            samples.append(PeriodSample(cycle, units, utility, ideals))
             last_units = [world.consumers[i].units_consumed for i in range(n)]
             last_utility = [world.consumers[i].utility_total for i in range(n)]
     radius = config.maxima_radius if config.maxima_radius > 0 else None
@@ -568,6 +563,9 @@ def batch(n_pairs: int, seed_base: int, config: RunConfig,
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     seeds = [seed_base + i for i in range(n_pairs)]
+    # the fork start method launches every worker at once: fork no more
+    # than there are pairs
+    workers = min(workers, n_pairs)
     if workers <= 1:
         return [run_pair(seed, config) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -611,8 +609,9 @@ _RUN_BODY_ALPHABET = b"0123456789+-.e,\n"
 
 
 def read_run_samples(path: str) -> list[PeriodSample]:
-    """Rebuild period samples from a run CSV; consumption totals are
-    recomputed exactly as the simulation computed them.
+    """Rebuild period samples from a run CSV: the units and utilities are
+    the Python ints and floats the simulation sampled, so `run_metrics`
+    gives the same bytes on either.
 
     A body in the program's own alphabet is parsed in one numpy pass and
     kept when it is two or more contiguous blocks of one length with
@@ -637,7 +636,7 @@ def read_run_samples(path: str) -> list[PeriodSample]:
         return read_run_lines(path)
     ideals = np.ascontiguousarray(rows["ideals"]).reshape(
         n_cycles, n, SIGNATURE_DIM)
-    return [make_sample(cycle, units, utility, period_ideals)
+    return [PeriodSample(cycle, units, utility, period_ideals)
             for cycle, units, utility, period_ideals in zip(
                 cycles[::n].tolist(), rows["units"].reshape(n_cycles, n).tolist(),
                 rows["utility"].reshape(n_cycles, n).tolist(), ideals)]
@@ -718,7 +717,7 @@ def read_run_lines(path: str) -> list[PeriodSample]:
             raise ValueError(f"{path}:{first_line[cycle]}: cycle {cycle} has "
                              f"{len(units)} rows, the first cycle "
                              f"{len(groups[order[0]][0])}")
-        samples.append(make_sample(cycle, units, utility, np.array(ideals)))
+        samples.append(PeriodSample(cycle, units, utility, np.array(ideals)))
     return samples
 
 

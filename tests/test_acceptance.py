@@ -234,3 +234,14 @@ def test_b4_post_transient_stationarity(experiment30):
     assert flat >= 25, f"slope indistinguishable from 0 in only {flat}/30"
     print(f"\nB4 PASS: post-transient consumption slope statistically flat "
           f"in {flat}/30 social runs (>= 25)")
+
+
+def test_b5_aggregate_utility_higher_for_social(experiment30):
+    social, nonsocial = _metric_pairs(experiment30, "mean_utility")
+    report = stats.signed_rank(social, nonsocial)
+    assert social.mean() > nonsocial.mean(), \
+        f"social {social.mean():.3f} <= nonsocial {nonsocial.mean():.3f}"
+    assert report.p_value < 0.05, f"signed-rank p = {report.p_value:.4g}"
+    print(f"\nB5 PASS: aggregate utility/period social {social.mean():.3f} > "
+          f"nonsocial {nonsocial.mean():.3f}; signed-rank p = "
+          f"{report.p_value:.3g} (< 0.05)")

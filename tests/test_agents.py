@@ -6,10 +6,10 @@ from collections import deque
 import numpy as np
 import pytest
 
-from consumerlab.agents import (ActiveConsumption, Consumer, Situation, act,
-                                adjust_values, complete_consumption,
-                                evaluate_situations, influence_target,
-                                interact_socially, try_begin_consumption)
+from consumerlab.agents import (Consumer, act, adjust_values,
+                                complete_consumption, evaluate_situations,
+                                influence_target, interact_socially,
+                                try_begin_consumption)
 from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
 from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph
@@ -83,7 +83,9 @@ def test_fresh_consumer_only_consumes_locally():
     c = make_consumer(world=world)
     for other in (1, 2, 3):
         world.network.add_tie(0, other, 0.5)
-    assert evaluate_situations(c, world) == set()
+    evaluate_situations(c, world)
+    assert not (c.dissatisfied or c.bored or c.interact or c.find_friend
+                or c.change_location or c.change_values)
 
 
 def test_low_degree_weak_ties_triggers_friend_search():
@@ -91,8 +93,8 @@ def test_low_degree_weak_ties_triggers_friend_search():
     c = make_consumer(world=world)
     world.network.add_tie(0, 1, 0.1)
     world.network.add_tie(0, 2, 0.1)
-    sits = evaluate_situations(c, world)
-    assert Situation.SEARCH_FOR_A_FRIEND in sits
+    evaluate_situations(c, world)
+    assert c.find_friend
 
 
 def test_strong_ties_suppress_friend_search():
@@ -100,57 +102,64 @@ def test_strong_ties_suppress_friend_search():
     c = make_consumer(world=world)
     world.network.add_tie(0, 1, 0.9)
     world.network.add_tie(0, 2, 0.9)
-    assert Situation.SEARCH_FOR_A_FRIEND not in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert not c.find_friend
 
 
 def test_friend_search_never_fires_without_social_mode():
     world = StubWorld(social=False)
     c = make_consumer(world=world)
     c.dissatisfaction_count = 100
-    sits = evaluate_situations(c, world)
-    assert Situation.SEARCH_FOR_A_FRIEND not in sits
-    assert Situation.INTERACT_SOCIALLY not in sits
+    evaluate_situations(c, world)
+    assert not c.find_friend
+    assert not c.interact
 
 
 def test_interaction_requires_frustration_and_no_consumption():
     world = StubWorld(social=True)
     c = make_consumer(world=world)
     c.dissatisfaction_count = world.config.frustration_limit
-    assert Situation.INTERACT_SOCIALLY in evaluate_situations(c, world)
-    c.consuming = ActiveConsumption(0, 3)
-    assert Situation.INTERACT_SOCIALLY not in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert c.interact
+    c.consuming, c.consume_left = 0, 3
+    evaluate_situations(c, world)
+    assert not c.interact
 
 
 def test_failed_search_also_counts_as_frustration():
     world = StubWorld(social=True)
     c = make_consumer(world=world)
     c.failed_search_count = world.config.frustration_limit
-    assert Situation.INTERACT_SOCIALLY in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert c.interact
 
 
 def test_boredom_threshold():
     world = StubWorld()
     c = make_consumer(world=world)
     c.boredom_count = world.config.boredom_limit
-    assert Situation.BORED in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert c.bored
 
 
 def test_negative_trailing_utility_triggers_dissatisfaction():
     world = StubWorld()
     c = make_consumer(world=world)
     c.recent_utilities.extend([0.4, -0.9])
-    assert Situation.DISSATISFIED in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert c.dissatisfied
     c.recent_utilities.clear()
     c.recent_utilities.extend([0.4, -0.1])
-    assert Situation.DISSATISFIED not in evaluate_situations(c, world)
+    evaluate_situations(c, world)
+    assert not c.dissatisfied
 
 
 def test_change_situations_persist_until_fired():
     world = StubWorld()
     c = make_consumer(world=world)
-    c.active_situations.add(Situation.CHANGE_VALUES)
-    sits = evaluate_situations(c, world)
-    assert Situation.CHANGE_VALUES in sits
+    c.change_values = True
+    evaluate_situations(c, world)
+    assert c.change_values
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +174,26 @@ def test_friend_search_preempts_interaction():
     c.dissatisfaction_count = 10     # interaction eligible
     rng = np.random.default_rng(0)
     evaluate_situations(c, world)
-    assert Situation.SEARCH_FOR_A_FRIEND in c.active_situations
-    assert Situation.INTERACT_SOCIALLY in c.active_situations
+    assert c.find_friend
+    assert c.interact
     act(c, world, rng)
     # referral happened (new tie), interaction did not (counters intact)
     assert world.network.degree(0) == 1
     assert c.dissatisfaction_count == 10
+
+
+def test_bored_preempts_change_location():
+    world = StubWorld(social=False)
+    c = make_consumer(world=world)
+    c.change_location = True
+    c.escape_budget = 5
+    c.boredom_count = world.config.boredom_limit
+    evaluate_situations(c, world)
+    act(c, world, np.random.default_rng(0))
+    # boredom fired (counter reset); the escape step did not (no move)
+    assert c.boredom_count == 0
+    assert c.location == (5, 5)
+    assert c.escape_budget == world.config.escape_cycles
 
 
 def test_dissatisfied_aborts_consumption():
@@ -178,7 +201,7 @@ def test_dissatisfied_aborts_consumption():
     c = make_consumer(world=world)
     instance = world.space.products[0]
     instance.in_use = True
-    c.consuming = ActiveConsumption(0, 3)
+    c.consuming, c.consume_left = 0, 3
     c.recent_utilities.append(-0.5)
     evaluate_situations(c, world)
     act(c, world, np.random.default_rng(0))
@@ -186,8 +209,7 @@ def test_dissatisfied_aborts_consumption():
     assert instance.in_use is False
     assert c.dissatisfaction_count == 1
     assert len(c.recent_utilities) == 0
-    assert (Situation.CHANGE_LOCATION in c.active_situations
-            or Situation.CHANGE_VALUES in c.active_situations)
+    assert c.change_location or c.change_values
 
 
 def test_dissatisfaction_alternates_change_kinds():
@@ -196,13 +218,12 @@ def test_dissatisfaction_alternates_change_kinds():
     c.recent_utilities.append(-0.5)
     evaluate_situations(c, world)
     act(c, world, np.random.default_rng(0))
-    first = Situation.CHANGE_LOCATION in c.active_situations
-    c.active_situations.discard(Situation.CHANGE_LOCATION)
-    c.active_situations.discard(Situation.CHANGE_VALUES)
+    first = c.change_location
+    c.change_location = c.change_values = False
     c.recent_utilities.append(-0.5)
     evaluate_situations(c, world)
     act(c, world, np.random.default_rng(0))
-    second = Situation.CHANGE_LOCATION in c.active_situations
+    second = c.change_location
     assert first != second
 
 
@@ -217,7 +238,8 @@ def test_begin_consumption_on_matching_product():
     began = try_begin_consumption(c, world.space.products[0], world)
     assert began
     assert world.space.products[0].in_use is True
-    assert c.consuming.remaining == world.config.consumption_cycles
+    assert c.consuming == 0
+    assert c.consume_left == world.config.consumption_cycles
     assert c.failed_search_count == 0
 
 
@@ -229,7 +251,7 @@ def test_decline_when_valuation_gate_fails():
     began = try_begin_consumption(c, world.space.products[0], world)
     assert not began
     assert c.failed_search_count == 1
-    assert Situation.CHANGE_LOCATION in c.active_situations
+    assert c.change_location
 
 
 def test_decline_when_threshold_gate_fails():
@@ -390,7 +412,7 @@ def test_value_influence_moves_toward_neighbor():
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = False
     gap = np.linalg.norm(c.ideal - n.ideal)
-    assert interact_socially(c, world, np.random.default_rng(0))
+    assert interact_socially(c, world)
     assert np.linalg.norm(c.ideal - n.ideal) < gap
     assert world.network.strength(0, 1) > 0.5
     assert c.dissatisfaction_count == 0
@@ -402,7 +424,7 @@ def test_value_influence_identical_ideals_noop():
     n = make_consumer(cid=1, x=10, y=10, world=world, ideal=np.ones(6))
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = False
-    interact_socially(c, world, np.random.default_rng(0))
+    interact_socially(c, world)
     assert np.array_equal(c.ideal, np.ones(6))
 
 
@@ -413,7 +435,7 @@ def test_spatial_approach_enters_navigation():
     n.recent_utilities.append(0.5)
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = True
-    interact_socially(c, world, np.random.default_rng(0))
+    interact_socially(c, world)
     assert c.nav_target == (15, 5)
 
 
@@ -425,7 +447,7 @@ def test_navigation_walks_to_adjacency():
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = True
     rng = np.random.default_rng(0)
-    interact_socially(c, world, rng)
+    interact_socially(c, world)
     for _ in range(20):
         evaluate_situations(c, world)
         act(c, world, rng)
@@ -443,16 +465,16 @@ def test_interaction_alternates_effects():
     n.recent_utilities.append(0.5)
     world.network.add_tie(0, 1, 0.5)
     c.approach_next = False
-    interact_socially(c, world, np.random.default_rng(0))
+    interact_socially(c, world)
     assert c.nav_target is None                   # value effect
-    interact_socially(c, world, np.random.default_rng(0))
+    interact_socially(c, world)
     assert c.nav_target == (20, 20)   # approach
 
 
 def test_interaction_without_neighbors_is_noop():
     world = StubWorld(social=True)
     c = make_consumer(cid=0, world=world)
-    assert interact_socially(c, world, np.random.default_rng(0)) is False
+    assert interact_socially(c, world) is False
 
 
 def test_exactly_one_neighbor_influences_per_interaction():
@@ -465,7 +487,7 @@ def test_exactly_one_neighbor_influences_per_interaction():
     world.network.add_tie(0, 1, 0.5)
     world.network.add_tie(0, 2, 0.5)
     c.approach_next = False
-    interact_socially(c, world, np.random.default_rng(0))
+    interact_socially(c, world)
     # pulled toward the most admired (id 1, ideal ones), not the blend
     assert np.allclose(c.ideal, 0.2 * np.ones(6))
     assert world.network.strength(0, 1) > 0.5

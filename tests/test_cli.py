@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from consumerlab import stats
+from consumerlab import cli, harness, stats
 from consumerlab.cli import main, parse_config_file
 from type_csv import read_type_rows
 
@@ -283,6 +283,51 @@ def test_experiment_golden_bytes_long(tmp_path):
     digests = experiment_digests(tmp_path / "golden", str(path))
     assert digests == GOLDEN_EXPERIMENT_LONG
     assert digests["run_11_social.csv"] != digests["run_11_nonsocial.csv"]
+
+
+SITUATIONS = ("dissatisfied", "bored", "interact", "find_friend",
+              "change_location", "change_values")
+
+
+def test_long_golden_sets_every_situation(tmp_path, monkeypatch):
+    # the long golden gates every rule only if every situation fires in it:
+    # count the evaluations after which each flag is set, per seed and arm
+    # (the wrapper reads the flags and draws nothing)
+    path = tmp_path / "long.cfg"
+    path.write_text(LONG_CONFIG)
+    config = cli.build_config(str(path), {})
+    counts = {}
+    evaluate = harness.evaluate_situations
+
+    def counting(consumer, world):
+        evaluate(consumer, world)
+        arm = counts[(world.config.seed, world.social)]
+        for name in SITUATIONS:
+            arm[name] += getattr(consumer, name)
+    monkeypatch.setattr(harness, "evaluate_situations", counting)
+    for seed in (11, 12):
+        for social in (True, False):
+            counts[(seed, social)] = dict.fromkeys(SITUATIONS, 0)
+        harness.run_pair(seed, config)
+    for name in SITUATIONS:
+        assert sum(arm[name] for arm in counts.values()) > 0, (name, counts)
+    for seed in (11, 12):
+        assert counts[(seed, False)]["interact"] == 0
+        assert counts[(seed, False)]["find_friend"] == 0
+
+
+def test_experiment_makes_out_dir_before_running_pairs(tmp_path, config_file,
+                                                       monkeypatch, capsys):
+    # an --out-dir that cannot be made must fail before any pair is run
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pairs ran before the output directory existed")
+    monkeypatch.setattr(cli, "batch", refuse)
+    assert main(["experiment", "--pairs", "2", "--config", config_file,
+                 "--out-dir", str(taken)]) == 1
+    assert "File exists" in capsys.readouterr().err
 
 
 def test_experiment_single_pair_marks_insufficient_n(tmp_path, config_file):

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from consumerlab import harness, stats
-from consumerlab.harness import (ConfigError, RunConfig, World, batch,
-                                 init_world, make_sample, prime_consumers,
+from consumerlab.harness import (ConfigError, PeriodSample, RunConfig, World,
+                                 batch, init_world, prime_consumers,
                                  read_run_lines, read_run_samples, run,
                                  run_metrics, run_pair,
                                  value_coverage, value_path_length,
@@ -154,11 +154,9 @@ def test_priming_trains_each_map_once_per_type():
 def test_run_sample_count_and_conservation():
     result = run(small(cycles=200, sample_every=20))
     assert len(result.samples) == 10
-    total_from_deltas = sum(s.total_units for s in result.samples)
+    total_from_deltas = sum(sum(s.units) for s in result.samples)
     assert total_from_deltas == result.consumption_events
     for sample in result.samples:
-        assert sample.total_units == sum(sample.units)
-        assert sample.total_utility == sum(sample.utility)
         assert sample.ideals.shape == (3, 6)
 
 
@@ -230,6 +228,33 @@ def test_parallel_batch_equals_sequential():
                 assert sa.units == sb.units
                 assert sa.utility == sb.utility
                 assert np.array_equal(sa.ideals, sb.ideals)
+
+
+def test_batch_forks_no_more_workers_than_pairs(monkeypatch):
+    # the pool is a fake that runs the pairs in-process: no worker count
+    # asked for here starts a process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = SMALL.with_overrides(cycles=40, sample_every=20)
+    pairs = batch(2, 31, cfg, workers=500)
+    assert pools == [2]
+    assert [p.seed for p in pairs] == [31, 32]
+    assert [p.seed for p in batch(1, 31, cfg, workers=500)] == [31]
+    assert pools == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +331,7 @@ def _constant_samples(cycles, n=2, units=3, utility=0.5):
     samples = []
     for cycle in range(20, cycles + 1, 20):
         ideals = np.full((n, 6), 1.0)
-        samples.append(make_sample(cycle, [units] * n, [utility] * n, ideals))
+        samples.append(PeriodSample(cycle, [units] * n, [utility] * n, ideals))
     return samples
 
 
@@ -335,7 +360,7 @@ def test_metrics_trend_excludes_transient():
     samples = []
     for cycle in range(20, 4001, 20):
         units = 50 if cycle <= 1500 else 3   # huge transient, flat steady state
-        samples.append(make_sample(cycle, [units], [0.1], np.ones((1, 6))))
+        samples.append(PeriodSample(cycle, [units], [0.1], np.ones((1, 6))))
     metrics = run_metrics(samples, cfg)
     assert metrics.trend_slope == pytest.approx(0.0, abs=1e-12)
 
@@ -393,8 +418,6 @@ def test_run_csv_round_trip_bit_exact(tmp_path):
         assert parsed.units == original.units
         assert parsed.utility == original.utility
         assert np.array_equal(parsed.ideals, original.ideals)
-        assert parsed.total_units == original.total_units
-        assert parsed.total_utility == original.total_utility
     recomputed = run_metrics(samples, result.config)
     assert recomputed == result.metrics
 
@@ -411,8 +434,8 @@ def _reader_outcome(reader, path):
         samples = reader(path)
     except ValueError as err:
         return str(err)
-    return [(s.cycle, s.units, s.utility, s.ideals.tolist(), s.total_units,
-             s.total_utility) for s in samples]
+    return [(s.cycle, s.units, s.utility, s.ideals.tolist())
+            for s in samples]
 
 
 def _edit_run_csv(lines, edit):
