@@ -177,8 +177,11 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
 
 
 def cmd_experiment(args) -> int:
-    config = _validated_config(args)
-    # an unusable output directory fails before any pair runs
+    # a bad pair count or seed base fails before the output directory is
+    # made, and an unusable output directory before any pair runs
+    config = _validated_config(args, seed=args.seed_base)
+    if args.pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
     pairs = batch(args.pairs, args.seed_base, config, workers=args.workers)
     flat: list[RunResult] = []

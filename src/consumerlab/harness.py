@@ -26,7 +26,7 @@ from .agents import Consumer, act, evaluate_situations
 from .cognition import AttractivenessState, SelfOrganizingMap
 from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
-                       signature_matrix)
+                       shared_layouts, signature_matrix)
 from .serialize import fmt_float, write_csv
 from .space import Cell, ConsumptionSpace, ProductInstance
 
@@ -39,6 +39,11 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("invalid configuration: " + "; ".join(problems))
         self.problems = problems
+
+    def __reduce__(self):
+        # rebuilt from `problems`, not the message, when a batch worker
+        # sends it back
+        return ConfigError, (self.problems,)
 
 
 @dataclass(frozen=True)
@@ -540,11 +545,17 @@ def run(config: RunConfig, audit_every: int = 0) -> RunResult:
 def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0) -> PairResult:
     """Two runs sharing one seed, differing only in the social flag. The
     initial states must agree bit-exactly; a checksum mismatch is an
-    internal determinism fault."""
-    social = run(base_config.with_overrides(seed=seed, social=True),
-                 audit_every=audit_every)
-    nonsocial = run(base_config.with_overrides(seed=seed, social=False),
-                    audit_every=audit_every)
+    internal determinism fault.
+
+    Both arms draw the same type set, so the second arm reuses the first
+    arm's relaxed layouts (`shared_layouts`) and the checksum assertion
+    checks placement, maps and network against that one shared type set.
+    Type-set determinism is gated by the goldens and the type-set tests."""
+    with shared_layouts():
+        social = run(base_config.with_overrides(seed=seed, social=True),
+                     audit_every=audit_every)
+        nonsocial = run(base_config.with_overrides(seed=seed, social=False),
+                        audit_every=audit_every)
     if social.init_checksum != nonsocial.init_checksum:
         raise RuntimeError(
             f"pair determinism fault for seed {seed}: initial checksums differ")

@@ -10,7 +10,9 @@ is what makes the search landscape rugged.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +115,34 @@ for _p, (_i, _j) in enumerate(VERTEX_PAIRS):
 _TWO_PI = 2.0 * math.pi
 
 
-def _edge_arrays(topologies):
+class _Block(NamedTuple):
+    """The per-row arrays of one block of layouts, plus flat indices that
+    gather each row's edge and vertex-pair endpoints from a C-ordered
+    (rows, 6) angle array; rebuilt only when rows drop out."""
+
+    ei: np.ndarray
+    ej: np.ndarray
+    mask: np.ndarray
+    inc: np.ndarray
+    m: np.ndarray
+    flat_i: np.ndarray
+    flat_j: np.ndarray
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    two_over_m: np.ndarray
+
+    def rows(self, keep) -> "_Block":
+        return _block(self.ei[keep], self.ej[keep], self.mask[keep],
+                      self.inc[keep], self.m[keep])
+
+
+def _block(ei, ej, mask, inc, m) -> _Block:
+    base = N_VERTICES * np.arange(len(m))[:, None]
+    return _Block(ei, ej, mask, inc, m, base + ei, base + ej,
+                  base + _PAIR_I, base + _PAIR_J, (2.0 / m)[:, None])
+
+
+def _edge_block(topologies) -> _Block:
     # pad per-topology edge lists to a common width; mask marks real edges
     count = len(topologies)
     width = max(t.edge_count for t in topologies)
@@ -129,10 +158,10 @@ def _edge_arrays(topologies):
             inc[k, e, i] = 1.0
             inc[k, e, j] = -1.0
     m = np.array([float(t.edge_count) for t in topologies])
-    return ei, ej, mask, inc, m
+    return _block(ei, ej, mask, inc, m)
 
 
-def _batch_objective(theta, ei, ej, mask, inc, m, min_separation, separation_weight):
+def _batch_objective(theta, block, min_separation, separation_weight):
     """Objective, gradient and chord variance for a (k, 6) block of layouts.
 
     Objective: variance of edge chord lengths plus a short-range quadratic
@@ -140,37 +169,90 @@ def _batch_objective(theta, ei, ej, mask, inc, m, min_separation, separation_wei
     chord lengths zero would otherwise be a perfect minimum). Rows are
     independent, so results do not depend on batch composition.
     """
-    rows = np.arange(theta.shape[0])[:, None]
-    half = 0.5 * (theta[rows, ei] - theta[rows, ej])
+    half = 0.5 * (theta.take(block.flat_i) - theta.take(block.flat_j))
     s = np.sin(half)
-    lengths = 2.0 * np.abs(s) * mask
-    mean = lengths.sum(axis=1) / m
-    mean_sq = (lengths * lengths).sum(axis=1) / m
+    lengths = 2.0 * np.abs(s) * block.mask
+    mean = np.add.reduce(lengths, 1) / block.m
+    mean_sq = np.add.reduce(lengths * lengths, 1) / block.m
     variance = mean_sq - mean * mean
-    d_len = np.cos(half) * np.where(s >= 0.0, 1.0, -1.0)
-    coeff = (2.0 / m)[:, None] * (lengths - mean[:, None]) * d_len * mask
-    grad = np.einsum("ke,kev->kv", coeff, inc)
+    c = np.cos(half)
+    d_len = np.where(s >= 0.0, c, -c)
+    coeff = block.two_over_m * (lengths - mean[:, None]) * d_len * block.mask
+    grad = np.einsum("ke,kev->kv", coeff, block.inc)
 
-    diff = theta[:, _PAIR_I] - theta[:, _PAIR_J]
-    wrapped = diff - _TWO_PI * np.round(diff / _TWO_PI)
+    diff = theta.take(block.pair_i) - theta.take(block.pair_j)
+    wrapped = diff - _TWO_PI * np.rint(diff / _TWO_PI)
     gap = min_separation - np.abs(wrapped)
     np.maximum(gap, 0.0, out=gap)
-    penalty = separation_weight * (gap * gap).sum(axis=1)
-    pair_grad = -2.0 * separation_weight * gap * np.where(wrapped >= 0.0, 1.0, -1.0)
-    grad += pair_grad @ _PAIR_INC
+    penalty = separation_weight * np.add.reduce(gap * gap, 1)
+    push = -2.0 * separation_weight * gap
+    grad += np.where(wrapped >= 0.0, push, -push) @ _PAIR_INC
     return variance + penalty, grad, variance
 
 
 def layout_objective(theta, edges, min_separation: float = 0.1,
                      separation_weight: float = 1.0) -> float:
     """Objective the relaxation descends (exposed for independent checks)."""
-    arrays = _edge_arrays([ProductTopology(tuple(edges))])
+    block = _edge_block([ProductTopology(tuple(edges))])
     value, _, _ = _batch_objective(np.asarray(theta, dtype=float)[None, :],
-                                   *arrays, min_separation, separation_weight)
+                                   block, min_separation, separation_weight)
     return float(value[0])
 
 
 _INITIAL_ANGLES = np.array([_TWO_PI * v / N_VERTICES for v in range(N_VERTICES)])
+
+
+def _descend(block, step, tol, max_iter, min_separation, separation_weight):
+    """Fixed-step descent of every row of `block`: (final angles, converged
+    flags)."""
+    count = len(block.m)
+    theta = np.tile(_INITIAL_ANGLES, (count, 1))
+    best_obj = np.full(count, np.inf)
+    best_theta = theta.copy()
+    final_theta = theta.copy()
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # rows still descending; converged rows drop out
+    for _ in range(max_iter):
+        objective, grad, _ = _batch_objective(
+            theta, block, min_separation, separation_weight)
+        improved = objective < best_obj
+        np.copyto(best_obj, objective, where=improved)
+        np.copyto(best_theta, theta, where=improved[:, None])
+        update = step * grad
+        theta -= update
+        newly = np.maximum.reduce(np.abs(update), 1) < tol
+        if newly.any():
+            done = live[newly]
+            final_theta[done] = theta[newly]
+            converged[done] = True
+            keep = ~newly
+            live = live[keep]
+            if not live.size:
+                break
+            theta = theta[keep]
+            best_obj = best_obj[keep]
+            best_theta = best_theta[keep]
+            block = block.rows(keep)
+    if live.size:
+        final_theta[live] = best_theta
+    return final_theta, converged
+
+
+# descent results by block while a `shared_layouts` scope is open
+_memo: dict | None = None
+
+
+@contextmanager
+def shared_layouts():
+    """Within this scope, `layout_signatures` relaxes each distinct block
+    (edge lists plus relaxation parameters) once and answers repeats from
+    the stored angles; the scope always ends with nothing stored."""
+    global _memo
+    _memo = {}
+    try:
+        yield
+    finally:
+        _memo = None
 
 
 def layout_signatures(topologies, step: float = 0.01, tol: float = 1e-8,
@@ -184,44 +266,28 @@ def layout_signatures(topologies, step: float = 0.01, tol: float = 1e-8,
     update drops below `tol`; layouts still moving at the iteration cap
     report their best iterate with converged=False. Deterministic, and
     independent of how layouts are grouped into blocks.
+
+    Inside `shared_layouts` (a pair's two arms) a repeated block reuses
+    the relaxed angles and converged flags of its first call, and only the
+    signatures, residuals and results are built anew. So the pair's
+    init-checksum assertion compares placement, maps and network over one
+    shared type set; type-set determinism is gated by the goldens and the
+    type-set tests, which run outside any such scope.
     """
     count = len(topologies)
-    ei, ej, mask, inc, m = _edge_arrays(topologies)
-    theta = np.tile(_INITIAL_ANGLES, (count, 1))
-    best_obj = np.full(count, np.inf)
-    best_theta = theta.copy()
-    final_theta = theta.copy()
-    converged = np.zeros(count, dtype=bool)
-    live = np.arange(count)  # rows still descending; converged rows drop out
-    for _ in range(max_iter):
-        objective, grad, _ = _batch_objective(
-            theta, ei, ej, mask, inc, m, min_separation, separation_weight)
-        improved = objective < best_obj
-        if improved.any():
-            best_obj[improved] = objective[improved]
-            best_theta[improved] = theta[improved]
-        update = step * grad
-        theta -= update
-        newly = np.abs(update).max(axis=1) < tol
-        if newly.any():
-            done = live[newly]
-            final_theta[done] = theta[newly]
-            converged[done] = True
-            keep = ~newly
-            if not keep.any():
-                live = live[keep]
-                break
-            theta = theta[keep]
-            best_obj = best_obj[keep]
-            best_theta = best_theta[keep]
-            ei, ej, mask, inc, m = (ei[keep], ej[keep], mask[keep],
-                                    inc[keep], m[keep])
-            live = live[keep]
-    if live.size:
-        final_theta[live] = best_theta
-    all_arrays = _edge_arrays(topologies)
+    block = _edge_block(topologies)
+    params = (step, tol, max_iter, min_separation, separation_weight)
+    key = None if _memo is None else (tuple(t.edges for t in topologies), params)
+    relaxed = None if key is None else _memo.get(key)
+    if relaxed is None:
+        relaxed = _descend(block, *params)
+        if key is not None:
+            for array in relaxed:
+                array.flags.writeable = False  # shared with later calls
+            _memo[key] = relaxed
+    final_theta, converged = relaxed
     _, _, final_var = _batch_objective(
-        final_theta, *all_arrays, min_separation, separation_weight)
+        final_theta, block, min_separation, separation_weight)
 
     xs = np.cos(final_theta)
     ys = np.sin(final_theta)

@@ -330,6 +330,21 @@ def test_experiment_makes_out_dir_before_running_pairs(tmp_path, config_file,
     assert "File exists" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, status, message", [
+    (["--pairs", "0"], 1, "error: n_pairs must be >= 1"),
+    (["--seed-base", "-1"], 2, "error: invalid configuration: seed must be >= 0"),
+    (["--seed-base", "-1", "--pairs", "2", "--workers", "2"], 2,
+     "error: invalid configuration: seed must be >= 0"),
+])
+def test_experiment_rejects_bad_pairs_before_making_out_dir(
+        tmp_path, config_file, capsys, flags, status, message):
+    out_dir = tmp_path / "never"
+    assert main(["experiment", *flags, "--config", config_file,
+                 "--out-dir", str(out_dir)]) == status
+    assert capsys.readouterr().err.splitlines()[-1] == message
+    assert not out_dir.exists()
+
+
 def test_experiment_single_pair_marks_insufficient_n(tmp_path, config_file):
     out_dir = tmp_path / "exp1"
     assert main(["experiment", "--pairs", "1", "--seed-base", "5",

@@ -7,13 +7,14 @@ kept small so the whole module stays fast.
 
 import hashlib
 import math
+import pickle
 import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from consumerlab import harness, stats
+from consumerlab import harness, products, stats
 from consumerlab.harness import (ConfigError, PeriodSample, RunConfig, World,
                                  batch, init_world, prime_consumers,
                                  read_run_lines, read_run_samples, run,
@@ -206,6 +207,77 @@ def test_tie_order_golden():
         "db2b54953309a3d387a682f1267b98967712525c7c632ee7682f530a2115d07e"
     assert world.state_checksum() == \
         "d803c5340f49d84f7d617a2ad9e64a2c7005be1742d3df07c487aa123d7e1cef"
+    # the cycle stream's position: one draw more or fewer fails here
+    assert world.rng.bit_generator.state == {
+        "bit_generator": "PCG64",
+        "state": {"state": 212501781465674477669925398512461608470,
+                  "inc": 128445348842607012625565759934751820585},
+        "has_uint32": 1, "uinteger": 2579253128}
+
+
+def _same_run(a, b):
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "samples":
+            assert len(x) == len(y)
+            for sa, sb in zip(x, y):
+                assert (sa.cycle, sa.units, sa.utility) == \
+                    (sb.cycle, sb.units, sb.utility)
+                assert np.array_equal(sa.ideals, sb.ideals)
+        else:
+            assert x == y, field.name
+
+
+def test_pair_arms_equal_independent_runs():
+    cfg = small(cycles=100)
+    pair = run_pair(5, cfg)
+    _same_run(pair.social, run(cfg.with_overrides(seed=5, social=True)))
+    _same_run(pair.nonsocial, run(cfg.with_overrides(seed=5, social=False)))
+
+
+def test_second_arm_of_a_pair_runs_no_descent(monkeypatch):
+    # every layout_signatures call evaluates the objective once for its
+    # residuals; any more evaluations are descent iterations
+    counts = {}
+    arm = [None]
+    objective, layouts, plain_run = (products._batch_objective,
+                                     products.layout_signatures, harness.run)
+
+    def count(name, fn):
+        def wrapper(*args, **kwargs):
+            key = (arm[0], name)
+            counts[key] = counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def tagged_run(config, **kwargs):
+        arm[0] = config.social
+        return plain_run(config, **kwargs)
+
+    monkeypatch.setattr(products, "_batch_objective",
+                        count("objective", objective))
+    monkeypatch.setattr(products, "layout_signatures",
+                        count("layouts", layouts))
+    monkeypatch.setattr(harness, "run", tagged_run)
+    run_pair(5, small(cycles=40))
+    assert counts[(True, "objective")] > counts[(True, "layouts")] >= 1
+    assert counts[(False, "objective")] == counts[(False, "layouts")] \
+        == counts[(True, "layouts")]
+
+
+def test_run_pair_closes_the_layout_scope_even_when_it_raises(monkeypatch):
+    assert products._memo is None
+    seen = []
+
+    def failing_run(config, **kwargs):
+        seen.append(products._memo is not None)
+        raise RuntimeError("arm failed")
+
+    monkeypatch.setattr(harness, "run", failing_run)
+    with pytest.raises(RuntimeError, match="arm failed"):
+        run_pair(5, small(cycles=40))
+    assert seen == [True]
+    assert products._memo is None
 
 
 def test_batch_matches_run_pair():
@@ -228,6 +300,22 @@ def test_parallel_batch_equals_sequential():
                 assert sa.units == sb.units
                 assert sa.utility == sb.utility
                 assert np.array_equal(sa.ideals, sb.ideals)
+
+
+def test_config_error_pickles_with_its_problems():
+    err = pickle.loads(pickle.dumps(ConfigError(["seed must be >= 0",
+                                                 "cycles must be >= 1"])))
+    assert isinstance(err, ConfigError)
+    assert err.problems == ["seed must be >= 0", "cycles must be >= 1"]
+    assert str(err) == \
+        "invalid configuration: seed must be >= 0; cycles must be >= 1"
+
+
+def test_worker_config_error_keeps_its_problems():
+    with pytest.raises(ConfigError) as info:
+        batch(2, -1, SMALL.with_overrides(cycles=40), workers=2)
+    assert info.value.problems == ["seed must be >= 0"]
+    assert str(info.value) == "invalid configuration: seed must be >= 0"
 
 
 def test_batch_forks_no_more_workers_than_pairs(monkeypatch):

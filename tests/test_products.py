@@ -1,6 +1,9 @@
 """Product model checks: topology construction, layout signatures, utility,
 type-set generation and landscape maxima."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,49 @@ def test_scrambled_path_matches_golden_vector():
     lay = layout_signature(SCRAMBLED_PATH)
     assert np.allclose(lay.signature, _SCRAMBLED_PATH_GOLDEN, atol=1e-3)
     assert lay.residual < 1e-4
+
+
+def test_layout_block_golden():
+    # one 64-layout block, 16 of its rows stopped by the iteration cap:
+    # pins every float the relaxation kernel returns, so a kernel change
+    # that moves one bit fails here before any experiment golden does
+    rng = np.random.default_rng(12)
+    layouts = layout_signatures([random_topology(rng) for _ in range(64)])
+    assert sum(not lay.converged for lay in layouts) == 16
+    h = hashlib.sha256()
+    for lay in layouts:
+        h.update(lay.signature.tobytes())
+        h.update(struct.pack("<d?", lay.residual, lay.converged))
+        h.update(struct.pack("<6d", *lay.angles))
+    assert h.hexdigest() == \
+        "55895d7afca0b0d1bb8858ccff331f7dc9bb69a4a9764b0e108ee4e69058414e"
+
+
+def test_shared_layouts_reuses_the_descent_and_then_clears(monkeypatch):
+    rng = np.random.default_rng(2)
+    topos = [random_topology(rng) for _ in range(4)]
+    plain = layout_signatures(topos)
+    descents = []
+    descend = products._descend
+
+    def counting(*args):
+        descents.append(args)
+        return descend(*args)
+    monkeypatch.setattr(products, "_descend", counting)
+    assert products._memo is None
+    with products.shared_layouts():
+        first = layout_signatures(topos)
+        again = layout_signatures(topos)
+        layout_signatures(topos, step=0.02)
+    assert products._memo is None
+    assert len(descents) == 2
+    for a, b, c in zip(plain, first, again):
+        assert np.array_equal(a.signature, c.signature)
+        assert b.signature is not c.signature
+        assert (a.residual, a.converged, a.angles) == \
+            (c.residual, c.converged, c.angles)
+    layout_signatures(topos)
+    assert len(descents) == 3
 
 
 def test_layout_sits_at_an_objective_minimum():
