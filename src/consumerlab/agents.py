@@ -34,6 +34,7 @@ import numpy as np
 from . import network
 from .cognition import AttractivenessState
 from .products import valuation
+from .serialize import left_sum
 from .space import Cell, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,7 +78,7 @@ def evaluate_situations(consumer: Consumer, world: "World") -> None:
     local observables. Previously activated change situations persist until
     they complete."""
     cfg = world.config
-    consumer.dissatisfied = sum(consumer.recent_utilities) < 0.0
+    consumer.dissatisfied = left_sum(consumer.recent_utilities) < 0.0
     consumer.bored = consumer.boredom_count >= cfg.boredom_limit
     if world.social:
         frustrated = (consumer.dissatisfaction_count >= cfg.frustration_limit
@@ -212,7 +213,7 @@ def influence_target(consumer: Consumer, network, consumers) -> int | None:
     with_history = [b for b in neighbor_ids if consumers[b].recent_utilities]
     if with_history:
         return max(with_history,
-                   key=lambda b: (sum(consumers[b].recent_utilities)
+                   key=lambda b: (left_sum(consumers[b].recent_utilities)
                                   / len(consumers[b].recent_utilities)))
     return min(neighbor_ids, default=None,
                key=lambda b: valuation(consumer.ideal, consumers[b].ideal))

@@ -8,7 +8,8 @@ the report from raw run CSVs).
 Every command is deterministic given its flags and config file; there is
 no wall-clock seeding. Settings resolve as flags > config file > defaults.
 Config files are plain `key = value` lines with `#` comments; keys are the
-RunConfig field names and unknown keys are rejected.
+RunConfig field names and unknown keys are rejected, as are the keys a
+command always sets itself (`seed` everywhere, `social` in experiment).
 """
 
 from __future__ import annotations
@@ -60,9 +61,16 @@ def _coerce(text: str, target_type) -> object:
     return target_type(text)
 
 
-def build_config(config_path: str | None, flag_overrides: dict) -> RunConfig:
+# a config file may not set these: every command takes the seed from its
+# flags or from run file names (and experiment runs both social arms)
+_COMMAND_LINE_KEYS = ("seed",)
+
+
+def build_config(config_path: str | None, flag_overrides: dict,
+                 refused: tuple[str, ...] = _COMMAND_LINE_KEYS) -> RunConfig:
     """Merge defaults, config-file entries and flag overrides (in that
-    order of increasing precedence)."""
+    order of increasing precedence). A config file may not set a `refused`
+    key: the command line decides it."""
     field_types = {f.name: f.type for f in fields(RunConfig)}
     type_map = {"int": int, "float": float, "bool": bool, "str": str}
     overrides: dict[str, object] = {}
@@ -70,6 +78,9 @@ def build_config(config_path: str | None, flag_overrides: dict) -> RunConfig:
         for key, text in parse_config_file(config_path).items():
             if key not in field_types:
                 raise ValueError(f"{config_path}: unknown configuration key: {key}")
+            if key in refused:
+                raise ValueError(f"{config_path}: {key} cannot be set in a "
+                                 f"config file: the command line decides it")
             target = field_types[key]
             if isinstance(target, str):
                 target = type_map[target]
@@ -84,8 +95,10 @@ def build_config(config_path: str | None, flag_overrides: dict) -> RunConfig:
     return RunConfig().with_overrides(**overrides)
 
 
-def _validated_config(args, **flag_overrides) -> RunConfig:
-    config = build_config(getattr(args, "config", None), flag_overrides)
+def _validated_config(args, refused=_COMMAND_LINE_KEYS,
+                      **flag_overrides) -> RunConfig:
+    config = build_config(getattr(args, "config", None), flag_overrides,
+                          refused)
     problems = config.validate()
     if problems:
         raise ConfigError(problems)
@@ -179,7 +192,7 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
 def cmd_experiment(args) -> int:
     # a bad pair count or seed base fails before the output directory is
     # made, and an unusable output directory before any pair runs
-    config = _validated_config(args, seed=args.seed_base)
+    config = _validated_config(args, ("seed", "social"), seed=args.seed_base)
     if args.pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)

@@ -386,15 +386,15 @@ def init_world(config: RunConfig) -> World:
 # samples, metrics, results
 
 
-@dataclass
-class PeriodSample:
-    """Per-period record: consumption deltas since the previous sample and a
-    copy of every consumer's ideal vector."""
-
-    cycle: int
-    units: list[int]
-    utility: list[float]
-    ideals: np.ndarray          # (n_consumers, 6)
+def run_samples(cycles, units, utility, ideals) -> np.recarray:
+    """One record per sample period: its `cycle`, each consumer's `units` and
+    `utility` since the previous sample, and each consumer's `ideals` (n, 6).
+    A column reads as an array (`samples.units` is (T, n)), a record by
+    attribute (`samples[0].ideals` is (n, 6))."""
+    n = len(units[0])
+    return np.rec.fromarrays([cycles, units, utility, ideals], dtype=[
+        ("cycle", np.int64), ("units", np.int64, (n,)), ("utility", np.float64, (n,)),
+        ("ideals", np.float64, (n, SIGNATURE_DIM))])
 
 
 @dataclass
@@ -412,19 +412,17 @@ METRIC_NAMES = ("mean_units", "mean_utility", "utility_per_unit",
                 "mean_coverage", "mean_path_length")
 
 
-def _trajectories(trajectory) -> np.ndarray:
-    traj = np.asarray(trajectory, dtype=float)
-    if traj.ndim not in (2, 3) or traj.shape[-2] < 1:
-        raise ValueError("trajectory must be a non-empty (T, d) array or a "
-                         "batch (n, T, d) of them")
+def _trajectories(trajectories) -> np.ndarray:
+    traj = np.asarray(trajectories, dtype=float)
+    if traj.ndim != 3 or traj.shape[1] < 1:
+        raise ValueError("need a batch (n, T, d) of non-empty trajectories")
     return traj
 
 
-def value_coverage(trajectory, cell_width: float):
+def value_coverage(trajectories, cell_width: float) -> np.ndarray:
     """Distinct cells of an axis-aligned 6-D lattice (edge `cell_width`)
-    visited by a sampled ideal-vector trajectory (T, d): an int, or one
-    per trajectory for a batch (n, T, d)."""
-    traj = _trajectories(trajectory)
+    visited by each sampled ideal-vector trajectory of a batch (n, T, d)."""
+    traj = _trajectories(trajectories)
     if cell_width <= 0.0:
         raise ValueError("cell_width must be positive")
     cells = np.floor(traj / cell_width).astype(np.int64)
@@ -432,49 +430,47 @@ def value_coverage(trajectory, cell_width: float):
     # differs from its predecessor
     order = np.lexsort(np.moveaxis(cells, -1, 0), axis=-1)
     cells = np.take_along_axis(cells, order[..., None], axis=-2)
-    distinct = 1 + np.any(cells[..., 1:, :] != cells[..., :-1, :],
-                          axis=-1).sum(axis=-1)
-    return int(distinct) if traj.ndim == 2 else distinct
+    return 1 + np.any(cells[:, 1:] != cells[:, :-1], axis=-1).sum(axis=-1)
 
 
-def value_path_length(trajectory):
-    """Sum of Euclidean distances between consecutive sampled ideals of a
-    trajectory (T, d): a float, or one per trajectory for a batch
-    (n, T, d)."""
-    traj = _trajectories(trajectory)
-    diffs = np.diff(traj, axis=-2)
-    # each trajectory's segment lengths are one contiguous row, so the
-    # batch sums them exactly as a single trajectory is summed
-    lengths = np.sqrt((diffs * diffs).sum(axis=-1)).sum(axis=-1)
-    return float(lengths) if traj.ndim == 2 else lengths
+def value_path_length(trajectories) -> np.ndarray:
+    """Sum of Euclidean distances between consecutive sampled ideals of each
+    trajectory of a batch (n, T, d)."""
+    # from a C-ordered copy each trajectory's segment lengths are one
+    # contiguous row, summed in the same order whatever the input's layout
+    traj = np.ascontiguousarray(_trajectories(trajectories))
+    diffs = np.diff(traj, axis=1)
+    return np.sqrt((diffs * diffs).sum(axis=-1)).sum(axis=-1)
 
 
-def run_metrics(samples: list[PeriodSample], config: RunConfig) -> RunMetrics:
+def run_metrics(samples: np.recarray, config: RunConfig) -> RunMetrics:
     """Per-run summary statistics. The trend regression discards samples in
     the transient window (first `transient_cycles` cycles)."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    # Python left-to-right sums: np.sum is pairwise and rounds differently
-    period_units = [sum(s.units) for s in samples]
-    period_utility = [sum(s.utility) for s in samples]
-    total_units = np.array(period_units, dtype=float)
-    total_utility = np.array(period_utility, dtype=float)
-    overall_units = sum(period_units)
-    overall_utility = sum(period_utility)
-    trajectories = np.stack([s.ideals for s in samples], axis=1)  # (n, T, 6)
+    units = samples.units
+    # int64 sums wrap beyond 2**63: add Python ints where they could
+    wide = np.abs(units, dtype=float).max() * units.size >= 2.0 ** 62
+    period_units = units.sum(axis=1, dtype=object if wide else None)
+    # Python-style left-to-right sums from 0.0 (+ 0.0 turns an all -0.0 sum
+    # into 0.0): np.sum is pairwise and rounds differently
+    period_utility = np.cumsum(samples.utility, axis=1)[:, -1] + 0.0
+    total_units = period_units.astype(float)
+    overall_units = int(period_units.sum())
+    overall_utility = float(np.cumsum(period_utility)[-1])
+    trajectories = np.ascontiguousarray(samples.ideals.swapaxes(0, 1))
     coverage = value_coverage(trajectories, config.coverage_cell_width)
     paths = value_path_length(trajectories)
-    steady = [k for k, s in enumerate(samples) if s.cycle > config.transient_cycles]
-    if len(steady) >= 2:
-        xs = np.array([samples[k].cycle for k in steady], dtype=float)
-        ys = total_units[steady]
+    steady = samples.cycle > config.transient_cycles
+    xs, ys = samples.cycle[steady].astype(float), total_units[steady]
+    if xs.size >= 2:
         slope, _ = stats.linreg_slope(xs, ys)
         slope_p = stats.slope_zero_test(xs, ys).p_value
     else:
         slope, slope_p = 0.0, 1.0
     return RunMetrics(
         mean_units=float(np.mean(total_units)),
-        mean_utility=float(np.mean(total_utility)),
+        mean_utility=float(np.mean(period_utility)),
         utility_per_unit=(overall_utility / overall_units
                           if overall_units > 0 else None),
         mean_coverage=float(np.mean(coverage)),
@@ -489,7 +485,7 @@ class RunResult:
     init_checksum: str
     network_checksum_start: str
     network_checksum_end: str
-    samples: list[PeriodSample]
+    samples: np.recarray        # run_samples
     fdc: Optional[float]
     consumption_events: int
     metrics: RunMetrics
@@ -508,23 +504,23 @@ def run(config: RunConfig, audit_every: int = 0) -> RunResult:
     world = init_world(config)
     init_checksum = world.state_checksum()
     net_start = world.network.checksum()
-    n = config.n_consumers
-    last_units = [0] * n
-    last_utility = [0.0] * n
-    samples: list[PeriodSample] = []
+    # cumulative totals at every sample cycle; the samples hold their deltas
+    shape = (config.cycles // config.sample_every, config.n_consumers)
+    units, utility = np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    ideals = np.zeros(shape + (SIGNATURE_DIM,))
     for cycle in range(1, config.cycles + 1):
         world.step()
         if audit_every and cycle % audit_every == 0:
             world.audit()
         if cycle % config.sample_every == 0:
-            units = [world.consumers[i].units_consumed - last_units[i]
-                     for i in range(n)]
-            utility = [world.consumers[i].utility_total - last_utility[i]
-                       for i in range(n)]
-            ideals = np.array([world.consumers[i].ideal for i in range(n)])
-            samples.append(PeriodSample(cycle, units, utility, ideals))
-            last_units = [world.consumers[i].units_consumed for i in range(n)]
-            last_utility = [world.consumers[i].utility_total for i in range(n)]
+            k = cycle // config.sample_every - 1
+            units[k] = [c.units_consumed for c in world.consumers]
+            utility[k] = [c.utility_total for c in world.consumers]
+            ideals[k] = [c.ideal for c in world.consumers]
+    samples = run_samples(
+        np.arange(1, shape[0] + 1) * config.sample_every,
+        np.diff(units, axis=0, prepend=0), np.diff(utility, axis=0, prepend=0),
+        ideals)
     radius = config.maxima_radius if config.maxima_radius > 0 else None
     try:
         _, distances = landscape_distances(world.types, radius)
@@ -601,11 +597,12 @@ def run_file_name(seed: int, social: bool) -> str:
 def write_run_csv(result: RunResult, path: str) -> None:
     rows = []
     for sample in result.samples:
-        for cid in range(len(sample.units)):
-            row = [str(sample.cycle), str(cid), str(sample.units[cid]),
-                   fmt_float(sample.utility[cid])]
-            row.extend(fmt_float(float(v)) for v in sample.ideals[cid])
-            rows.append(row)
+        # one period at a time: whole columns as Python objects cost memory
+        cycle = str(sample.cycle)
+        for cid, (units, utility, ideal) in enumerate(zip(
+                sample.units.tolist(), sample.utility.tolist(), sample.ideals.tolist())):
+            rows.append([cycle, str(cid), str(units), fmt_float(utility),
+                         *map(fmt_float, ideal)])
     write_csv(path, RUN_CSV_HEADER, rows)
 
 
@@ -619,10 +616,10 @@ _RUN_ROW_DTYPE = np.dtype([("cycle", np.int64), ("consumer_id", np.int64),
 _RUN_BODY_ALPHABET = b"0123456789+-.e,\n"
 
 
-def read_run_samples(path: str) -> list[PeriodSample]:
-    """Rebuild period samples from a run CSV: the units and utilities are
-    the Python ints and floats the simulation sampled, so `run_metrics`
-    gives the same bytes on either.
+def read_run_samples(path: str) -> np.recarray:
+    """Rebuild a run's samples (`run_samples`) from its run CSV, bit for bit
+    as the simulation sampled them, so `run_metrics` gives the same bytes on
+    either.
 
     A body in the program's own alphabet is parsed in one numpy pass and
     kept when it is two or more contiguous blocks of one length with
@@ -645,18 +642,14 @@ def read_run_samples(path: str) -> list[PeriodSample]:
             or not (rows["consumer_id"].reshape(n_cycles, n)
                     == np.arange(n)).all()):
         return read_run_lines(path)
-    ideals = np.ascontiguousarray(rows["ideals"]).reshape(
-        n_cycles, n, SIGNATURE_DIM)
-    return [PeriodSample(cycle, units, utility, period_ideals)
-            for cycle, units, utility, period_ideals in zip(
-                cycles[::n].tolist(), rows["units"].reshape(n_cycles, n).tolist(),
-                rows["utility"].reshape(n_cycles, n).tolist(), ideals)]
+    rows = rows.reshape(n_cycles, n)
+    return run_samples(cycles[::n], rows["units"], rows["utility"], rows["ideals"])
 
 
 def _parse_run_body(fh) -> Optional[np.ndarray]:
     """The rows of a run CSV body from the open file's position on, in one
     numpy pass; None when the body strays from the program's alphabet or
-    does not parse."""
+    does not parse (a number outside int64 does not)."""
     body_start = fh.tell()
     for chunk in iter(lambda: fh.read(1 << 16), ""):
         if chunk.encode().translate(None, _RUN_BODY_ALPHABET):
@@ -673,16 +666,24 @@ def _parse_run_body(fh) -> Optional[np.ndarray]:
         return None
 
 
-def read_run_lines(path: str) -> list[PeriodSample]:
+def _int64(text: str, name: str) -> int:
+    value = int(text)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{name} {value} is outside the int64 range")
+    return value
+
+
+def read_run_lines(path: str) -> np.recarray:
     """The line-by-line run CSV parser, and the reference for
     `read_run_samples`. Each cycle's rows form one contiguous block, with
     consumer ids 0, 1, ... in order; blank lines are skipped. A row without
-    ten fields or with a non-numeric cell, a row whose consumer id is not
-    its place in its cycle's block, a cycle that reappears after another
-    cycle's rows, or a cycle with fewer or more rows than the first cycle
-    (a truncated file), raises ValueError naming the file and line; a file
-    with fewer than two sample cycles raises one naming the file."""
-    groups: dict[int, tuple[list[int], list[float], list[np.ndarray]]] = {}
+    ten fields, with a non-numeric cell or an integer beyond int64, a row
+    whose consumer id is not its place in its cycle's block, a cycle that
+    reappears after another cycle's rows, or a cycle with fewer or more rows
+    than the first cycle (a truncated file), raises ValueError naming the
+    file and line; a file with fewer than two sample cycles raises one
+    naming the file."""
+    groups: dict[int, tuple[list[int], list[float], list[list[float]]]] = {}
     order: list[int] = []
     first_line: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -698,7 +699,7 @@ def read_run_lines(path: str) -> list[PeriodSample]:
                 raise ValueError(f"{path}:{lineno}: expected "
                                  f"{len(RUN_CSV_HEADER)} fields, got {len(parts)}")
             try:
-                cycle = int(parts[0])
+                cycle = _int64(parts[0], "cycle")
                 if order and cycle != order[-1] and cycle in groups:
                     raise ValueError(f"cycle {cycle} reappears after cycle "
                                      f"{order[-1]}")
@@ -713,23 +714,21 @@ def read_run_lines(path: str) -> list[PeriodSample]:
                     # consumer
                     raise ValueError(f"consumer_id {consumer_id} where "
                                      f"{len(units)} is expected")
-                units.append(int(parts[2]))
+                units.append(_int64(parts[2], "units"))
                 utility.append(float(parts[3]))
-                ideals.append(np.array([float(v) for v in parts[4:10]]))
+                ideals.append([float(v) for v in parts[4:10]])
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
     if len(order) < 2:
         raise ValueError(f"{path}: {len(order)} sample cycles, need at "
                          f"least two")
-    samples = []
+    n = len(groups[order[0]][0])
     for cycle in order:
-        units, utility, ideals = groups[cycle]
-        if len(units) != len(groups[order[0]][0]):
+        if len(groups[cycle][0]) != n:
             raise ValueError(f"{path}:{first_line[cycle]}: cycle {cycle} has "
-                             f"{len(units)} rows, the first cycle "
-                             f"{len(groups[order[0]][0])}")
-        samples.append(PeriodSample(cycle, units, utility, np.array(ideals)))
-    return samples
+                             f"{len(groups[cycle][0])} rows, the first cycle "
+                             f"{n}")
+    return run_samples(order, *zip(*(groups[c] for c in order)))
 
 
 def summary_row(result: RunResult) -> list[str]:

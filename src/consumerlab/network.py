@@ -13,6 +13,8 @@ import struct
 
 import numpy as np
 
+from .serialize import left_sum
+
 
 class TieGraph:
     """Undirected weighted graph over consumer ids 0..n-1."""
@@ -45,7 +47,7 @@ class TieGraph:
         ties = self._adj[a]
         if not ties:
             return 0.0
-        return sum(ties.values()) / len(ties)
+        return left_sum(ties.values()) / len(ties)
 
     def add_tie(self, a: int, b: int, strength: float) -> None:
         self._check_pair(a, b)

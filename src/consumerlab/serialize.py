@@ -1,4 +1,5 @@
-"""Shared CSV plumbing: exact float formatting and atomic file writes.
+"""Shared determinism plumbing: exact float formatting and summation, and
+atomic file writes.
 
 All files are written with '.' decimals, LF line endings and no locale
 dependence so that repeated runs produce byte-identical output.
@@ -13,6 +14,15 @@ import tempfile
 def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (round-trips exactly)."""
     return "%.17g" % x
+
+
+def left_sum(values) -> float:
+    """Left-to-right float sum from 0.0, as `sum` adds floats before Python
+    3.12; from 3.12 on `sum` compensates and can round differently."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -112,10 +112,10 @@ def test_a2_oracle_equivalence():
     traj = rng.uniform(0, 2, size=(100, 6))
     oracle_cells = len({tuple(int(math.floor(v / 0.05)) for v in row)
                         for row in traj})
-    assert value_coverage(traj, 0.05) == oracle_cells
+    assert value_coverage(traj[None], 0.05).tolist() == [oracle_cells]
     oracle_path = sum(float(np.linalg.norm(traj[i + 1] - traj[i]))
                       for i in range(len(traj) - 1))
-    assert abs(value_path_length(traj) - oracle_path) < 1e-10
+    assert abs(value_path_length(traj[None])[0] - oracle_path) < 1e-10
     print("\nA2 PASS: fdc/linreg/paired-t/signed-rank/coverage/path-length "
           "all match their oracles")
 

@@ -441,6 +441,32 @@ def test_malformed_config_line_rejected(tmp_path, capsys):
         assert "c.cfg" in err and named in err, err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    (["gen-types", "--seed", "1", "--out", "OUT"], "seed = 42\n", "seed"),
+    (["landscape", "--seed", "1", "--samples", "20", "--out", "OUT"],
+     "seed = 42\n", "seed"),
+    (["run", "--seed", "1", "--out", "OUT"], "seed = 42\n", "seed"),
+    (["experiment", "--pairs", "1", "--out-dir", "OUT"], "seed = 42\n", "seed"),
+    (["experiment", "--pairs", "1", "--out-dir", "OUT"], "social = false\n",
+     "social"),
+    (["analyze", "--in-dir", ".", "--out", "OUT"], "seed = 42\n", "seed"),
+], ids=["gen-types", "landscape", "run", "experiment-seed", "experiment-social",
+        "analyze"])
+def test_config_keys_the_command_sets_are_rejected(tmp_path, capsys, command,
+                                                   text, key):
+    # flags (or the run file names) always decide these keys: a config file
+    # that sets one would be silently overridden
+    path = tmp_path / "c.cfg"
+    path.write_text("cycles = 40\n" + text)
+    out = tmp_path / "out"
+    argv = [str(out) if arg == "OUT" else arg for arg in command]
+    assert main(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {key} cannot be set in a config "
+                          f"file: "), err
+    assert not out.exists()
+
+
 def test_flags_override_config_file(tmp_path, config_file):
     out = tmp_path / "run.csv"
     # config says 100 cycles; flag forces 40 -> 2 samples x 3 consumers

@@ -15,14 +15,15 @@ import numpy as np
 import pytest
 
 from consumerlab import harness, products, stats
-from consumerlab.harness import (ConfigError, PeriodSample, RunConfig, World,
+from consumerlab.harness import (ConfigError, RunConfig, World,
                                  batch, init_world, prime_consumers,
                                  read_run_lines, read_run_samples, run,
-                                 run_metrics, run_pair,
+                                 run_metrics, run_pair, run_samples,
                                  value_coverage, value_path_length,
                                  write_run_csv, write_summary_csv,
                                  SUMMARY_HEADER)
 from consumerlab.products import signature_matrix
+from consumerlab.serialize import left_sum
 
 # small but structurally faithful configuration: same densities as the
 # reference setup at roughly 1/16 the area
@@ -167,8 +168,8 @@ def test_run_deterministic():
     assert a.init_checksum == b.init_checksum
     assert a.consumption_events == b.consumption_events
     for sa, sb in zip(a.samples, b.samples):
-        assert sa.units == sb.units
-        assert sa.utility == sb.utility
+        assert np.array_equal(sa.units, sb.units)
+        assert np.array_equal(sa.utility, sb.utility)
         assert np.array_equal(sa.ideals, sb.ideals)
 
 
@@ -219,11 +220,8 @@ def _same_run(a, b):
     for field in fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
         if field.name == "samples":
-            assert len(x) == len(y)
-            for sa, sb in zip(x, y):
-                assert (sa.cycle, sa.units, sa.utility) == \
-                    (sb.cycle, sb.units, sb.utility)
-                assert np.array_equal(sa.ideals, sb.ideals)
+            # every field of every period, bit for bit
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         else:
             assert x == y, field.name
 
@@ -285,7 +283,8 @@ def test_batch_matches_run_pair():
     direct = run_pair(7, SMALL.with_overrides(cycles=100))
     assert single[0].seed == direct.seed
     assert single[0].social.init_checksum == direct.social.init_checksum
-    assert single[0].social.samples[-1].units == direct.social.samples[-1].units
+    assert np.array_equal(single[0].social.samples[-1].units,
+                          direct.social.samples[-1].units)
 
 
 def test_parallel_batch_equals_sequential():
@@ -297,8 +296,8 @@ def test_parallel_batch_equals_sequential():
         for ra, rb in zip((a.social, a.nonsocial), (b.social, b.nonsocial)):
             assert ra.init_checksum == rb.init_checksum
             for sa, sb in zip(ra.samples, rb.samples):
-                assert sa.units == sb.units
-                assert sa.utility == sb.utility
+                assert np.array_equal(sa.units, sb.units)
+                assert np.array_equal(sa.utility, sb.utility)
                 assert np.array_equal(sa.ideals, sb.ideals)
 
 
@@ -350,14 +349,14 @@ def test_batch_forks_no_more_workers_than_pairs(monkeypatch):
 
 
 def test_value_coverage_static_trajectory():
-    traj = np.tile([0.3, 0.3, 0.3, 0.3, 0.3, 0.3], (10, 1))
-    assert value_coverage(traj, 0.05) == 1
+    traj = np.tile([0.3, 0.3, 0.3, 0.3, 0.3, 0.3], (1, 10, 1))
+    assert value_coverage(traj, 0.05).tolist() == [1]
 
 
 def test_value_coverage_same_cell_dedupes():
-    traj = np.array([[0.301, 0.0, 0.0, 0.0, 0.0, 0.0],
-                     [0.302, 0.0, 0.0, 0.0, 0.0, 0.0]])
-    assert value_coverage(traj, 0.05) == 1
+    traj = np.array([[[0.301, 0.0, 0.0, 0.0, 0.0, 0.0],
+                      [0.302, 0.0, 0.0, 0.0, 0.0, 0.0]]])
+    assert value_coverage(traj, 0.05).tolist() == [1]
 
 
 def test_value_coverage_matches_quantize_oracle():
@@ -365,23 +364,28 @@ def test_value_coverage_matches_quantize_oracle():
     traj = rng.uniform(0, 2, size=(100, 6))
     width = 0.05
     oracle = len({tuple(int(np.floor(v / width)) for v in row) for row in traj})
-    assert value_coverage(traj, width) == oracle
+    assert value_coverage(traj[None], width).tolist() == [oracle]
 
 
 def test_value_coverage_validates_inputs():
     with pytest.raises(ValueError):
-        value_coverage(np.empty((0, 6)), 0.05)
+        value_coverage(np.empty((1, 0, 6)), 0.05)
     with pytest.raises(ValueError):
-        value_coverage(np.ones((3, 6)), 0.0)
+        value_coverage(np.ones((1, 3, 6)), 0.0)
+    # a single trajectory is not a batch
+    with pytest.raises(ValueError):
+        value_coverage(np.ones((3, 6)), 0.05)
+    with pytest.raises(ValueError):
+        value_path_length(np.ones((3, 6)))
 
 
 def test_value_path_length_single_sample():
-    assert value_path_length(np.ones((1, 6))) == 0.0
+    assert value_path_length(np.ones((1, 1, 6))).tolist() == [0.0]
 
 
 def test_value_path_length_two_samples():
-    traj = np.array([[0.0] * 6, [1.0] * 6])
-    assert value_path_length(traj) == pytest.approx(np.sqrt(6.0))
+    traj = np.array([[[0.0] * 6, [1.0] * 6]])
+    assert value_path_length(traj)[0] == pytest.approx(np.sqrt(6.0))
 
 
 def test_value_path_length_matches_pairwise_oracle():
@@ -389,7 +393,7 @@ def test_value_path_length_matches_pairwise_oracle():
     traj = rng.uniform(0, 2, size=(50, 6))
     oracle = sum(float(np.linalg.norm(traj[i + 1] - traj[i]))
                  for i in range(49))
-    assert value_path_length(traj) == pytest.approx(oracle, rel=1e-12)
+    assert value_path_length(traj[None])[0] == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 6), (3, 2, 6), (7, 60, 6), (2, 9000, 6)])
@@ -403,12 +407,27 @@ def test_batched_measures_equal_per_trajectory(shape):
     paths = value_path_length(batch)
     assert coverage.shape == paths.shape == (shape[0],)
     for traj, cov, path in zip(batch, coverage, paths):
-        alone_cov = value_coverage(traj, 0.05)
-        alone_path = value_path_length(traj)
-        assert type(alone_cov) is int and type(alone_path) is float
+        alone_cov, = value_coverage(traj[None], 0.05)
+        alone_path, = value_path_length(traj[None])
         assert cov == alone_cov == np.unique(
             np.floor(traj / 0.05).astype(np.int64), axis=0).shape[0]
         assert path == alone_path
+
+
+def test_path_length_independent_of_memory_layout():
+    # a run's trajectories at full length; Fortran order and the transposed
+    # view of a (T, n, 6) sample array must sum exactly as the C-ordered copy
+    rng = np.random.default_rng(26)
+    batch = np.maximum(rng.uniform(0.3, 1.2, (40, 1, 6))
+                       + np.cumsum(rng.normal(0.0, 0.02, (40, 500, 6)), axis=1),
+                       0.0)
+    expected = value_path_length(np.ascontiguousarray(batch))
+    by_period = np.ascontiguousarray(batch.transpose(1, 0, 2))
+    for view in (np.asfortranarray(batch), by_period.transpose(1, 0, 2)):
+        assert not view.flags.c_contiguous
+        assert value_path_length(view).tobytes() == expected.tobytes()
+        assert np.array_equal(value_coverage(view, 0.05),
+                              value_coverage(batch, 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +435,9 @@ def test_batched_measures_equal_per_trajectory(shape):
 
 
 def _constant_samples(cycles, n=2, units=3, utility=0.5):
-    samples = []
-    for cycle in range(20, cycles + 1, 20):
-        ideals = np.full((n, 6), 1.0)
-        samples.append(PeriodSample(cycle, [units] * n, [utility] * n, ideals))
-    return samples
+    t = cycles // 20
+    return run_samples(np.arange(20, cycles + 1, 20), np.full((t, n), units),
+                       np.full((t, n), utility), np.ones((t, n, 6)))
 
 
 def test_metrics_constant_series_slope_zero():
@@ -443,12 +460,34 @@ def test_metrics_zero_units_undefined_marker():
     assert metrics.utility_per_unit is None
 
 
+@pytest.mark.parametrize("case", ["random", "all -0.0", "units beyond int64 sums"])
+def test_metrics_totals_match_python_sums(case):
+    # the period and run totals are the Python ones: integers that never
+    # wrap, and floats added left to right from 0.0 as sum() did before 3.12
+    rng = np.random.default_rng(27)
+    units = rng.integers(0, 4, (50, 40))
+    utility = rng.normal(0.0, 1.0, (50, 40)) * 10.0 ** rng.integers(-8, 8, (50, 40))
+    if case == "all -0.0":
+        utility = np.full((50, 40), -0.0)
+    elif case == "units beyond int64 sums":
+        units[:, :2] = 2 ** 62
+    samples = run_samples(np.arange(20, 1001, 20), units, utility,
+                          np.ones((50, 40, 6)))
+    period_units = [sum(row) for row in units.tolist()]
+    period_utility = [left_sum(row) for row in utility.tolist()]
+    metrics = run_metrics(samples, small(cycles=1000))
+    assert metrics.mean_units == float(np.mean(np.array(period_units, float)))
+    assert str(metrics.mean_utility) == str(float(np.mean(period_utility)))
+    assert str(metrics.utility_per_unit) == \
+        str(left_sum(period_utility) / sum(period_units))
+
+
 def test_metrics_trend_excludes_transient():
     cfg = small(cycles=4000, transient_cycles=1500)
-    samples = []
-    for cycle in range(20, 4001, 20):
-        units = 50 if cycle <= 1500 else 3   # huge transient, flat steady state
-        samples.append(PeriodSample(cycle, [units], [0.1], np.ones((1, 6))))
+    cycles = np.arange(20, 4001, 20)
+    units = np.where(cycles <= 1500, 50, 3)   # huge transient, flat steady state
+    samples = run_samples(cycles, units[:, None], np.full((200, 1), 0.1),
+                          np.ones((200, 1, 6)))
     metrics = run_metrics(samples, cfg)
     assert metrics.trend_slope == pytest.approx(0.0, abs=1e-12)
 
@@ -503,9 +542,9 @@ def test_run_csv_round_trip_bit_exact(tmp_path):
     assert len(samples) == len(result.samples)
     for original, parsed in zip(result.samples, samples):
         assert parsed.cycle == original.cycle
-        assert parsed.units == original.units
-        assert parsed.utility == original.utility
-        assert np.array_equal(parsed.ideals, original.ideals)
+        assert np.array_equal(parsed.units, original.units)
+        assert parsed.utility.tobytes() == original.utility.tobytes()
+        assert parsed.ideals.tobytes() == original.ideals.tobytes()
     recomputed = run_metrics(samples, result.config)
     assert recomputed == result.metrics
 
@@ -522,8 +561,8 @@ def _reader_outcome(reader, path):
         samples = reader(path)
     except ValueError as err:
         return str(err)
-    return [(s.cycle, s.units, s.utility, s.ideals.tolist())
-            for s in samples]
+    return [(int(s.cycle), s.units.tolist(), s.utility.tolist(),
+             s.ideals.tolist()) for s in samples]
 
 
 def _edit_run_csv(lines, edit):
@@ -566,6 +605,8 @@ def _edit_run_csv(lines, edit):
         lines[2] = ",".join(cells[:1] + ["40"] + cells[2:])
     elif edit == "crlf":
         lines = [line + "\r" for line in lines]
+    elif edit == "cycle beyond int64":
+        lines[1] = ",".join(["9223372036854775808"] + lines[1].split(",")[1:])
     return lines
 
 
@@ -574,7 +615,9 @@ def _edit_run_csv(lines, edit):
     "units  3", "units +3", "nan units", "control char", "blank lines",
     "non-numeric consumer_id", "cycle reappears", "cycle block repeats",
     "row moves to the next cycle", "cycle split",
-    "two rows swapped within a cycle", "consumer_id out of range", "crlf"])
+    "two rows swapped within a cycle", "consumer_id out of range", "crlf",
+    "units 9223372036854775807", "units 9223372036854775808",
+    "units -9223372036854775809", "cycle beyond int64"])
 def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
     # numpy's parse is kept only where the line parser would give the same
     # samples; everywhere else the line parser's samples or error stand
@@ -584,7 +627,7 @@ def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
     fast = _reader_outcome(read_run_samples, str(path))
     assert fast == _reader_outcome(read_run_lines, str(path))
     if edit in ("units 1_0", "units  3", "units +3", "blank lines", "crlf",
-                "none"):
+                "none", "units 9223372036854775807"):
         assert isinstance(fast, list), fast
     # rows out of order would give ideals to the wrong consumers
     if edit in ("cycle reappears", "cycle block repeats"):
@@ -595,6 +638,11 @@ def test_read_run_samples_matches_line_parser(tmp_path, run_csv_text, edit):
         # the first row out of place is named
         assert re.search(r"run\.csv:[23]: (consumer_id \d+ where \d+ is "
                          r"expected|invalid literal for int\(\))", fast), fast
+    if edit in ("units 9223372036854775808", "units -9223372036854775809",
+                "cycle beyond int64"):
+        # beyond int64: an error naming the file and line, not an overflow
+        assert re.search(r"run\.csv:[23]: (units|cycle) -?\d+ is outside the "
+                         r"int64 range$", fast), fast
 
 
 def test_read_run_samples_parses_program_output_in_one_pass(

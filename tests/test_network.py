@@ -1,11 +1,14 @@
 """Tie graph checks: Watts-Strogatz construction, strengthening, decay and
 friend-of-friend referral."""
 
+import math
+
 import numpy as np
 import pytest
 
 from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph, referral, watts_strogatz
+from consumerlab.serialize import left_sum
 
 # the removal floor a run uses unless configured otherwise
 FLOOR = RunConfig().tie_removal_floor
@@ -214,3 +217,17 @@ def test_referral_fully_connected_consumer_is_noop():
     rng = np.random.default_rng(10)
     assert referral(g, 0, rng) is None
     assert g.edge_count() == 3
+
+
+def test_decision_sums_add_left_to_right():
+    # Python 3.12 made sum() of floats compensated: sum([0.1] * 10) is 1.0
+    # there and 0.9999999999999999 before; decisions must not depend on it
+    tenths = [0.1] * 10
+    assert math.fsum(tenths) == 1.0
+    assert left_sum(tenths) == 0.9999999999999999
+    assert left_sum([]) == 0.0
+    assert math.copysign(1.0, left_sum([-0.0, -0.0])) == 1.0
+    g = TieGraph(11)
+    for b in range(1, 11):
+        g.add_tie(0, b, 0.1)
+    assert g.mean_strength(0) == 0.9999999999999999 / 10
