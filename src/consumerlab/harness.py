@@ -448,10 +448,8 @@ def run_metrics(samples: np.recarray, config: RunConfig) -> RunMetrics:
     the transient window (first `transient_cycles` cycles)."""
     if len(samples) < 2:
         raise ValueError("need at least two samples")
-    units = samples.units
-    # int64 sums wrap beyond 2**63: add Python ints where they could
-    wide = np.abs(units, dtype=float).max() * units.size >= 2.0 ** 62
-    period_units = units.sum(axis=1, dtype=object if wide else None)
+    # Python-int sums, which never wrap as int64 sums do beyond 2**63
+    period_units = samples.units.sum(axis=1, dtype=object)
     # Python-style left-to-right sums from 0.0 (+ 0.0 turns an all -0.0 sum
     # into 0.0): np.sum is pairwise and rounds differently
     period_utility = np.cumsum(samples.utility, axis=1)[:, -1] + 0.0
