@@ -310,13 +310,8 @@ def _escape_step(consumer: Consumer, world: "World",
     # (rather than stopping at the first zero-field cell) is what carries
     # the agent out of the current product's basin instead of leaving it on
     # the rim to be recaptured by the same gradient.
-    space = world.space
     consumer.escape_budget -= 1
-    nb = space.descend(consumer.location)
-    if nb == consumer.location or space.consumer_at(nb) is not None:
-        nb = _random_free_neighbor(consumer, world, rng)
-    if nb is not None and nb != consumer.location:
-        space.move_consumer(consumer, nb)
+    _step(consumer, world, rng, world.space.descend(consumer.location))
     if consumer.escape_budget <= 0:
         consumer.change_location = False
         consumer.escape_budget = 0
@@ -335,12 +330,18 @@ def _perturb_values(consumer: Consumer, world: "World",
 # foraging
 
 
-def _random_free_neighbor(consumer: Consumer, world: "World",
-                          rng: np.random.Generator) -> Cell | None:
-    free = world.space.free_neighbor_cells(consumer.location)
-    if not free:
-        return None
-    return free[int(rng.integers(0, len(free)))]
+def _step(consumer: Consumer, world: "World", rng: np.random.Generator,
+          nb: Cell) -> None:
+    # one gradient step to nb; when nb is the consumer's own cell (a
+    # plateau) or is taken (local competition), jostle to a random free
+    # neighbour instead of retrying the same blocked cell forever
+    space = world.space
+    if nb == consumer.location or space.consumer_at(nb) is not None:
+        free = space.free_neighbor_cells(consumer.location)
+        if not free:
+            return
+        nb = free[int(rng.integers(0, len(free)))]
+    space.move_consumer(consumer, nb)
 
 
 def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
@@ -355,11 +356,4 @@ def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> Non
             try_begin_consumption(consumer, instance, world)
             return
         # a product someone else is consuming is treated as absent
-    nb = space.ascend(consumer.location)
-    if nb == consumer.location or space.consumer_at(nb) is not None:
-        # plateau, or the uphill cell is taken (local competition): jostle
-        # sideways instead of retrying the same blocked cell forever
-        nb = _random_free_neighbor(consumer, world, rng)
-        if nb is None:
-            return
-    space.move_consumer(consumer, nb)
+    _step(consumer, world, rng, space.ascend(consumer.location))

@@ -9,7 +9,9 @@ Every command is deterministic given its flags and config file; there is
 no wall-clock seeding. Settings resolve as flags > config file > defaults.
 Config files are plain `key = value` lines with `#` comments; keys are the
 RunConfig field names and unknown keys are rejected, as are the keys a
-command always sets itself (`seed` everywhere, `social` in experiment).
+command always sets itself (`seed` everywhere, `social` in experiment,
+the type-set keys `n_types`, `min_type_distance` and `max_type_attempts` in
+landscape).
 """
 
 from __future__ import annotations
@@ -131,7 +133,10 @@ def cmd_landscape(args) -> int:
     if args.samples < 2:
         print("error: --samples must be >= 2", file=sys.stderr)
         return 2
-    config = _validated_config(args, seed=args.seed)
+    # the sample is unconstrained and --samples sized, whatever a config
+    # file would say
+    config = _validated_config(args, ("seed", "n_types", "min_type_distance",
+                                      "max_type_attempts"), seed=args.seed)
     types = type_set_from_config(config.with_overrides(
         n_types=args.samples, min_type_distance=0.0,
         max_type_attempts=max(args.samples, 10_000)))
@@ -267,7 +272,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-types", help="generate a spaced product type set")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=int, default=None,
+                   help="number of types (default: the config n_types, 10)")
     p.add_argument("--min-dist", type=float, default=None,
                    help="minimum pairwise signature distance")
     p.add_argument("--out", required=True)

@@ -160,6 +160,8 @@ class RunConfig:
             problems.append("utility_slope must be in [-100, 100]")
         if self.min_type_distance < 0:
             problems.append("min_type_distance must be >= 0")
+        if self.maxima_radius < 0:
+            problems.append("maxima_radius must be >= 0; 0 = scaled default")
         for key in ("max_type_attempts", "relax_max_iter", "conception_nodes"):
             if getattr(self, key) < 1:
                 problems.append(f"{key} must be >= 1")

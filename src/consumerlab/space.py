@@ -12,6 +12,13 @@ iterates it.
 A consumer's cell is recorded once, in `Consumer.location`; the space keeps
 only the cell -> consumer id index, and placing or moving a consumer
 updates both.
+
+The proximity field is the cell-wise max of one stamp per product, the
+stamp being `max(0, 1 - (|dx| + |dy|) / R)` around the product's cell,
+computed once per space and cut to the offsets the grid can hold. A
+respawn zeroes the old cell's reach and repaints only the products whose
+stamps overlap it, plus the moved product at its new cell; max is exact
+and order-free, so this equals a full rebuild bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +60,13 @@ class ConsumptionSpace:
         self.height = height
         self.radius = proximity_radius
         self.field = np.zeros((height, width))
+        # stamp[ry + dy, rx + dx] = max(0, 1 - (|dx| + |dy|) / R), cut to
+        # the offsets a grid this size can hold
+        self._stamp_rx = min(proximity_radius, width - 1)
+        self._stamp_ry = min(proximity_radius, height - 1)
+        dist = (np.abs(np.arange(-self._stamp_ry, self._stamp_ry + 1))[:, None]
+                + np.abs(np.arange(-self._stamp_rx, self._stamp_rx + 1)))
+        self._stamp = np.maximum(1.0 - dist / proximity_radius, 0.0)
         self._consumer_at: dict[Cell, int] = {}
         self.products: dict[int, ProductInstance] = {}
         self._product_at: dict[Cell, int] = {}
@@ -146,59 +160,28 @@ class ConsumptionSpace:
 
     # -- proximity field ----------------------------------------------------
 
-    def _paint_window(self, x0: int, x1: int, y0: int, y1: int) -> None:
-        # recompute field(c) = max over products of max(0, 1 - manhattan/R)
-        # for every cell in the (inclusive) window
-        if not self.products:
-            self.field[y0:y1 + 1, x0:x1 + 1] = 0.0
-            return
-        px = np.array([p.location[0] for p in self.products.values()])
-        py = np.array([p.location[1] for p in self.products.values()])
-        xs = np.arange(x0, x1 + 1)
-        ys = np.arange(y0, y1 + 1)
-        dx = np.abs(xs[None, :, None] - px[None, None, :])
-        dy = np.abs(ys[:, None, None] - py[None, None, :])
-        contrib = 1.0 - (dx + dy) / self.radius
-        np.maximum(contrib, 0.0, out=contrib)
-        self.field[y0:y1 + 1, x0:x1 + 1] = contrib.max(axis=2)
+    def _reach(self, loc: Cell) -> tuple[tuple[slice, slice],
+                                         tuple[slice, slice]]:
+        # the field cells the stamp centred on loc covers, and the part of
+        # the stamp that lands on them
+        x, y = loc
+        rx, ry = self._stamp_rx, self._stamp_ry
+        x0, x1 = max(0, x - rx), min(self.width, x + rx + 1)
+        y0, y1 = max(0, y - ry), min(self.height, y + ry + 1)
+        return ((slice(y0, y1), slice(x0, x1)),
+                (slice(y0 - y + ry, y1 - y + ry),
+                 slice(x0 - x + rx, x1 - x + rx)))
+
+    def _stamp_at(self, loc: Cell) -> None:
+        cells, part = self._reach(loc)
+        np.maximum(self.field[cells], self._stamp[part],
+                   out=self.field[cells])
 
     def rebuild_field(self) -> None:
         """Recompute the whole proximity field from product locations."""
-        self._paint_window(0, self.width - 1, 0, self.height - 1)
-
-    def _window_around(self, loc: Cell) -> tuple[int, int, int, int]:
-        x, y = loc
-        r = self.radius
-        return (max(0, x - r), min(self.width - 1, x + r),
-                max(0, y - r), min(self.height - 1, y + r))
-
-    def _max_in_product(self, loc: Cell) -> None:
-        # fold one product's contribution into the field (max composition)
-        x0, x1, y0, y1 = self._window_around(loc)
-        xs = np.arange(x0, x1 + 1)
-        ys = np.arange(y0, y1 + 1)
-        dist = np.abs(xs[None, :] - loc[0]) + np.abs(ys[:, None] - loc[1])
-        contrib = 1.0 - dist / self.radius
-        np.maximum(contrib, 0.0, out=contrib)
-        np.maximum(self.field[y0:y1 + 1, x0:x1 + 1], contrib,
-                   out=self.field[y0:y1 + 1, x0:x1 + 1])
-
-    def relocate_product(self, instance_id: int, to: Cell) -> None:
-        """Move a product and update the field incrementally (bit-identical
-        to a full rebuild)."""
-        if not self.in_bounds(to):
-            raise ValueError(f"{to} out of bounds")
-        inst = self.products[instance_id]
-        if to == inst.location:
-            return
-        if to in self._product_at:
-            raise ValueError(f"cell {to} already holds a product")
-        old = inst.location
-        del self._product_at[old]
-        self._product_at[to] = instance_id
-        inst.location = to
-        self._paint_window(*self._window_around(old))
-        self._max_in_product(to)
+        self.field.fill(0.0)
+        for inst in self.products.values():
+            self._stamp_at(inst.location)
 
     def field_at(self, loc: Cell) -> float:
         return float(self.field[loc[1], loc[0]])
@@ -255,8 +238,20 @@ class ConsumptionSpace:
                 break
         else:
             target = self._linear_probe(target, instance_id)
-        self.relocate_product(instance_id, target)
+        del self._product_at[old]
+        self._product_at[target] = instance_id
+        inst.location = target
         inst.in_use = False
+        # repaint the old cell's reach from every stamp that overlaps it;
+        # the moved product's own stamp lands wherever it went
+        cells, _ = self._reach(old)
+        self.field[cells] = 0.0
+        reach_x, reach_y = 2 * self._stamp_rx, 2 * self._stamp_ry
+        for p in self.products.values():
+            px, py = p.location
+            if p is inst or (abs(px - old[0]) <= reach_x
+                             and abs(py - old[1]) <= reach_y):
+                self._stamp_at(p.location)
         return target
 
     def _linear_probe(self, start: Cell, instance_id: int) -> Cell:

@@ -62,6 +62,19 @@ def test_gen_types_single_row(tmp_path):
     assert len(read_type_rows(str(out))) == 1
 
 
+def test_gen_types_count_resolves_flag_config_default(tmp_path):
+    # --count > the config file's n_types > the default of 10
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text("n_types = 3\n")
+    for extra, count in ((["--config", str(cfg)], 3),
+                         (["--config", str(cfg), "--count", "4"], 4),
+                         ([], 10)):
+        out = tmp_path / f"types_{count}.csv"
+        assert main(["gen-types", "--seed", "1", "--out", str(out)]
+                    + extra) == 0
+        assert len(read_type_rows(str(out))) == count
+
+
 def test_gen_types_infeasible_distance_fails(tmp_path, capsys):
     out = tmp_path / "never.csv"
     # cap the attempt budget so the failure path stays quick
@@ -172,6 +185,17 @@ def test_run_rejects_invalid_config(tmp_path, config_file):
     code = main(["run", "--seed", "4", "--cycles", "101", "--config",
                  config_file, "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_run_rejects_negative_maxima_radius(tmp_path, config_file, capsys):
+    # 0 selects the scaled default radius; a negative one used to as well
+    cfg = tmp_path / "negative.cfg"
+    cfg.write_text(read(config_file) + "maxima_radius = -1\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--seed", "4", "--cycles", "40", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert "maxima_radius must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +474,15 @@ def test_malformed_config_line_rejected(tmp_path, capsys):
     (["experiment", "--pairs", "1", "--out-dir", "OUT"], "social = false\n",
      "social"),
     (["analyze", "--in-dir", ".", "--out", "OUT"], "seed = 42\n", "seed"),
+    (["landscape", "--seed", "1", "--samples", "20", "--out", "OUT"],
+     "n_types = 3\n", "n_types"),
+    (["landscape", "--seed", "1", "--samples", "20", "--out", "OUT"],
+     "min_type_distance = 0.5\n", "min_type_distance"),
+    (["landscape", "--seed", "1", "--samples", "20", "--out", "OUT"],
+     "max_type_attempts = 64\n", "max_type_attempts"),
 ], ids=["gen-types", "landscape", "run", "experiment-seed", "experiment-social",
-        "analyze"])
+        "analyze", "landscape-n_types", "landscape-min_type_distance",
+        "landscape-max_type_attempts"])
 def test_config_keys_the_command_sets_are_rejected(tmp_path, capsys, command,
                                                    text, key):
     # flags (or the run file names) always decide these keys: a config file

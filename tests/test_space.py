@@ -333,6 +333,38 @@ def test_incremental_field_update_is_bit_exact():
         assert np.array_equal(incremental, space.field)
 
 
+def definition_field(space):
+    # max(0, 1 - manhattan / R) over the products, evaluated on every cell
+    ys, xs = np.mgrid[0:space.height, 0:space.width]
+    field = np.zeros((space.height, space.width))
+    for inst in space.products.values():
+        px, py = inst.location
+        contrib = 1.0 - (np.abs(xs - px) + np.abs(ys - py)) / space.radius
+        field = np.maximum(field, np.maximum(contrib, 0.0))
+    return field
+
+
+@pytest.mark.parametrize("width, height, radius, sigma, n_products", [
+    (40, 40, 3, 15.0, 12),       # jumps land far beyond the repainted reach
+    (12, 9, 10**9, 2.0, 20),     # the stamp is cut to what the grid holds
+    (20, 20, 10**9, 4.0, 10),
+], ids=["far-jumps", "huge-radius", "huge-radius-square"])
+def test_field_matches_definition_after_every_respawn(width, height, radius,
+                                                      sigma, n_products):
+    rng = np.random.default_rng(5)
+    cells = rng.choice(width * height, size=n_products, replace=False)
+    space = make_space(width, height, radius,
+                       products=[(int(c) % width, int(c) // width)
+                                 for c in cells])
+    # the stamp holds no offset the grid cannot: 39 x 39 at most on 20 x 20
+    assert space._stamp.shape == (min(2 * radius + 1, 2 * height - 1),
+                                  min(2 * radius + 1, 2 * width - 1))
+    assert np.array_equal(space.field, definition_field(space))
+    for _ in range(300):
+        space.respawn_product(int(rng.integers(0, n_products)), rng, sigma)
+        assert np.array_equal(space.field, definition_field(space))
+
+
 def test_rebuild_with_no_products_zeroes_field():
     space = make_space(products=[(3, 3)])
     del space.products[0]
