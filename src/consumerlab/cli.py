@@ -8,10 +8,10 @@ the report from raw run CSVs).
 Every command is deterministic given its flags and config file; there is
 no wall-clock seeding. Settings resolve as flags > config file > defaults.
 Config files are plain `key = value` lines with `#` comments; keys are the
-RunConfig field names and unknown keys are rejected, as are the keys a
-command always sets itself (`seed` everywhere, `social` in experiment,
-the type-set keys `n_types`, `min_type_distance` and `max_type_attempts` in
-landscape).
+RunConfig field names, each set at most once, and unknown keys are
+rejected, as are the keys a command always sets itself (`seed` everywhere,
+`social` in experiment, the type-set keys `n_types`, `min_type_distance`
+and `max_type_attempts` in landscape).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _RUN_FILE_RE = re.compile(r"run_(\d+)_(social|nonsocial)\.csv$")
 
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -47,8 +48,12 @@ def parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on "
+                                 f"line {set_on[key]}")
+            set_on[key] = lineno
+            values[key] = value
     return values
 
 
@@ -184,7 +189,7 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
             metric_pairs[name][1].append(ns_val)
     rows = [stats.comparison_row(name, social, nonsocial)
             for name, (social, nonsocial) in metric_pairs.items()]
-    stats.write_report_csv(rows, report_path)
+    write_csv(report_path, stats.REPORT_HEADER, rows)
     for name in ("mean_units", "mean_coverage", "mean_path_length"):
         social, nonsocial = metric_pairs[name]
         for arm, values in (("social", social), ("nonsocial", nonsocial)):
@@ -195,11 +200,13 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
 
 
 def cmd_experiment(args) -> int:
-    # a bad pair count or seed base fails before the output directory is
-    # made, and an unusable output directory before any pair runs
+    # a bad pair count, worker count or seed base fails before the output
+    # directory is made, and an unusable output directory before any pair runs
     config = _validated_config(args, ("seed", "social"), seed=args.seed_base)
     if args.pairs < 1:
         raise ValueError("n_pairs must be >= 1")
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
     pairs = batch(args.pairs, args.seed_base, config, workers=args.workers)
     flat: list[RunResult] = []

@@ -16,7 +16,7 @@ import struct
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +27,8 @@ from .cognition import AttractivenessState, SelfOrganizingMap
 from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
                        shared_layouts, signature_matrix)
-from .serialize import fmt_float, write_csv
+from . import serialize
+from .serialize import fmt_optional, write_csv
 from .space import Cell, ConsumptionSpace, ProductInstance
 
 SIGNATURE_DIM = 6
@@ -584,10 +585,10 @@ def batch(n_pairs: int, seed_base: int, config: RunConfig,
 
 RUN_CSV_HEADER = ["cycle", "consumer_id", "units", "utility",
                   "i0", "i1", "i2", "i3", "i4", "i5"]
+# one run CSV row: cycle, consumer_id and units, then utility and the ideals
+RUN_ROW_FORMAT = "%d,%d,%d" + ",%.17g" * (1 + SIGNATURE_DIM)
 
-SUMMARY_HEADER = ["seed", "social", "fdc", "mean_units", "mean_utility",
-                  "utility_per_unit", "mean_coverage", "mean_path_length",
-                  "trend_slope", "trend_slope_p"]
+SUMMARY_HEADER = ["seed", "social", "fdc", *(f.name for f in fields(RunMetrics))]
 
 
 def run_file_name(seed: int, social: bool) -> str:
@@ -595,15 +596,17 @@ def run_file_name(seed: int, social: bool) -> str:
 
 
 def write_run_csv(result: RunResult, path: str) -> None:
-    rows = []
+    lines = [",".join(RUN_CSV_HEADER)]
     for sample in result.samples:
         # one period at a time: whole columns as Python objects cost memory
-        cycle = str(sample.cycle)
-        for cid, (units, utility, ideal) in enumerate(zip(
-                sample.units.tolist(), sample.utility.tolist(), sample.ideals.tolist())):
-            rows.append([cycle, str(cid), str(units), fmt_float(utility),
-                         *map(fmt_float, ideal)])
-    write_csv(path, RUN_CSV_HEADER, rows)
+        cycle = int(sample.cycle)
+        lines.extend(RUN_ROW_FORMAT % (cycle, cid, units, utility, *ideal)
+                     for cid, (units, utility, ideal) in enumerate(zip(
+                         sample.units.tolist(), sample.utility.tolist(),
+                         sample.ideals.tolist())))
+    # looked up on the module, as write_csv does, so that a wrapper put
+    # there (benchmark/tracer.py) also sees the run CSVs
+    serialize.atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 # one run CSV row on the fast path
@@ -732,19 +735,9 @@ def read_run_lines(path: str) -> np.recarray:
 
 
 def summary_row(result: RunResult) -> list[str]:
-    m = result.metrics
-    return [
-        str(result.config.seed),
-        "true" if result.config.social else "false",
-        "undefined" if result.fdc is None else fmt_float(result.fdc),
-        fmt_float(m.mean_units),
-        fmt_float(m.mean_utility),
-        "undefined" if m.utility_per_unit is None else fmt_float(m.utility_per_unit),
-        fmt_float(m.mean_coverage),
-        fmt_float(m.mean_path_length),
-        fmt_float(m.trend_slope),
-        fmt_float(m.trend_slope_p),
-    ]
+    """seed, social, fdc and every `RunMetrics` field, as SUMMARY_HEADER."""
+    return [str(result.config.seed), "true" if result.config.social else "false",
+            *map(fmt_optional, (result.fdc, *astuple(result.metrics)))]
 
 
 def write_summary_csv(results: list[RunResult], path: str) -> None:

@@ -16,6 +16,11 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+def fmt_optional(x: float | None) -> str:
+    """`fmt_float`, or "undefined" for a value that does not exist."""
+    return "undefined" if x is None else fmt_float(x)
+
+
 def left_sum(values) -> float:
     """Left-to-right float sum from 0.0, as `sum` adds floats before Python
     3.12; from 3.12 on `sum` compensates and can round differently."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .serialize import fmt_float, write_csv
+from .serialize import fmt_float, fmt_optional, write_csv
 
 __all__ = [
     "TestReport",
@@ -27,7 +27,6 @@ __all__ = [
     "gaussian_kde",
     "silverman_bandwidth",
     "student_t_cdf",
-    "write_report_csv",
     "write_density_csv",
 ]
 
@@ -325,41 +324,18 @@ REPORT_HEADER = ["metric", "social_mean", "nonsocial_mean", "diff_mean",
                  "t_stat", "t_p", "w_stat", "w_p", "n_pairs"]
 
 
-def _stat_cell(report: TestReport | None, value: str) -> str:
-    if report is None:
-        return "insufficient-n"
-    if value == "stat":
-        return "undefined" if report.statistic is None else fmt_float(report.statistic)
-    return fmt_float(report.p_value)
-
-
 def comparison_row(metric: str, social, nonsocial) -> list[str]:
     """One analysis-report row comparing paired social/non-social values."""
     s = np.asarray(social, dtype=float)
     ns = np.asarray(nonsocial, dtype=float)
     n = s.size
+    means = [float(np.mean(x)) if n else None for x in (s, ns, s - ns)]
+    tests = ["insufficient-n"] * 4
     if n >= 2:
-        t_rep = paired_t(s, ns)
-        w_rep = signed_rank(s, ns)
-    else:
-        t_rep = None
-        w_rep = None
-    return [
-        metric,
-        fmt_float(float(np.mean(s))) if n else "undefined",
-        fmt_float(float(np.mean(ns))) if n else "undefined",
-        fmt_float(float(np.mean(s - ns))) if n else "undefined",
-        _stat_cell(t_rep, "stat"),
-        _stat_cell(t_rep, "p"),
-        _stat_cell(w_rep, "stat"),
-        _stat_cell(w_rep, "p"),
-        str(n),
-    ]
-
-
-def write_report_csv(rows: list[list[str]], path: str) -> None:
-    """Write the analysis report (one row per metric)."""
-    write_csv(path, REPORT_HEADER, rows)
+        tests = [cell for report in (paired_t(s, ns), signed_rank(s, ns))
+                 for cell in (fmt_optional(report.statistic),
+                              fmt_float(report.p_value))]
+    return [metric, *map(fmt_optional, means), *tests, str(n)]
 
 
 def write_density_csv(table: DensityTable, path: str) -> None:

@@ -3,6 +3,8 @@ config handling and failure exits."""
 
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,11 +291,18 @@ GOLDEN_EXPERIMENT_LONG = {
 }
 
 
-def experiment_digests(out_dir, config_path):
-    assert main(["experiment", "--pairs", "2", "--seed-base", "11",
-                 "--config", config_path, "--out-dir", str(out_dir)]) == 0
+GOLDEN_ARGV = ["experiment", "--pairs", "2", "--seed-base", "11"]
+
+
+def dir_digests(out_dir):
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(out_dir))}
+
+
+def experiment_digests(out_dir, config_path):
+    assert main(GOLDEN_ARGV + ["--config", config_path,
+                               "--out-dir", str(out_dir)]) == 0
+    return dir_digests(out_dir)
 
 
 def test_experiment_golden_bytes(tmp_path, config_file):
@@ -307,6 +316,28 @@ def test_experiment_golden_bytes_long(tmp_path):
     digests = experiment_digests(tmp_path / "golden", str(path))
     assert digests == GOLDEN_EXPERIMENT_LONG
     assert digests["run_11_social.csv"] != digests["run_11_nonsocial.csv"]
+
+
+def test_experiment_bytes_ignore_the_hash_seed(tmp_path):
+    # str hashes, and so set and dict orders built from them, follow
+    # PYTHONHASHSEED: the long golden must come out under any of them
+    path = tmp_path / "long.cfg"
+    path.write_text(LONG_CONFIG)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    procs = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        procs[hash_seed] = subprocess.Popen(
+            [sys.executable, "-m", "consumerlab.cli", *GOLDEN_ARGV,
+             "--config", str(path), "--out-dir", str(tmp_path / hash_seed)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for hash_seed, proc in procs.items():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err
+        assert dir_digests(tmp_path / hash_seed) == GOLDEN_EXPERIMENT_LONG, \
+            hash_seed
 
 
 SITUATIONS = ("dissatisfied", "bored", "interact", "find_friend",
@@ -359,6 +390,8 @@ def test_experiment_makes_out_dir_before_running_pairs(tmp_path, config_file,
     (["--seed-base", "-1"], 2, "error: invalid configuration: seed must be >= 0"),
     (["--seed-base", "-1", "--pairs", "2", "--workers", "2"], 2,
      "error: invalid configuration: seed must be >= 0"),
+    (["--workers", "0"], 1, "error: workers must be >= 1"),
+    (["--workers", "-3"], 1, "error: workers must be >= 1"),
 ])
 def test_experiment_rejects_bad_pairs_before_making_out_dir(
         tmp_path, config_file, capsys, flags, status, message):
@@ -443,6 +476,18 @@ def test_config_file_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("seed = 9   # comment\n\n# full line comment\nsocial = false\n")
     assert parse_config_file(str(path)) == {"seed": "9", "social": "false"}
+
+
+def test_repeated_config_key_rejected(tmp_path, capsys):
+    # the file's last value used to win silently
+    path = tmp_path / "c.cfg"
+    path.write_text("cycles = 100\n# shorter\ncycles = 40\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--seed", "1", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}:3: cycles is already set on line 1\n"
+    assert not out.exists()
 
 
 def test_unknown_config_key_rejected(tmp_path):

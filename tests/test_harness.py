@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from consumerlab import harness, products, stats
-from consumerlab.harness import (ConfigError, RunConfig, World,
+from consumerlab.harness import (ConfigError, RunConfig, RunMetrics,
+                                 RunResult, World,
                                  batch, init_world, prime_consumers,
                                  read_run_lines, read_run_samples, run,
                                  run_metrics, run_pair, run_samples,
@@ -23,7 +24,7 @@ from consumerlab.harness import (ConfigError, RunConfig, World,
                                  write_run_csv, write_summary_csv,
                                  SUMMARY_HEADER)
 from consumerlab.products import signature_matrix
-from consumerlab.serialize import left_sum
+from consumerlab.serialize import fmt_float, left_sum
 
 # small but structurally faithful configuration: same densities as the
 # reference setup at roughly 1/16 the area
@@ -662,11 +663,58 @@ def test_summary_csv_schema(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary_csv([result], str(path))
     lines = open(path, encoding="utf-8").read().splitlines()
-    assert lines[0] == ",".join(SUMMARY_HEADER)
+    # the file contract, whatever RunMetrics holds
+    assert lines[0] == ("seed,social,fdc,mean_units,mean_utility,"
+                        "utility_per_unit,mean_coverage,mean_path_length,"
+                        "trend_slope,trend_slope_p")
     assert len(lines) == 2
     cells = lines[1].split(",")
     assert cells[0] == "3"
     assert cells[1] == "true"
+
+
+def _result(samples=None, fdc=0.25, utility_per_unit=0.5):
+    """A RunResult holding only what the writers read."""
+    metrics = RunMetrics(mean_units=3.0, mean_utility=1.5,
+                         utility_per_unit=utility_per_unit, mean_coverage=7.0,
+                         mean_path_length=0.1, trend_slope=-1e-5,
+                         trend_slope_p=0.75)
+    return RunResult(config=SMALL, init_checksum="", network_checksum_start="",
+                     network_checksum_end="", samples=samples, fdc=fdc,
+                     consumption_events=0, metrics=metrics)
+
+
+def test_summary_row_writes_undefined_for_missing_values():
+    row = harness.summary_row(_result(fdc=None, utility_per_unit=None))
+    assert len(row) == len(SUMMARY_HEADER)
+    cells = dict(zip(SUMMARY_HEADER, row))
+    assert cells["fdc"] == "undefined"
+    assert cells["utility_per_unit"] == "undefined"
+    assert cells["mean_units"] == "3"
+    assert cells["trend_slope"] == fmt_float(-1e-5)
+
+
+def test_run_csv_rows_match_per_cell_formatting(tmp_path):
+    # the one-template writer against the per-cell str/fmt_float form it
+    # replaced, on the values where float and int formatting have edges
+    edges = [-0.0, math.nan, math.inf, -math.inf, 5e-324,
+             1.7976931348623157e308, 0.1, 1.0]
+    top = 2 ** 63 - 1
+    units = np.array([[top, -top, 0, 7], [-1, 1, top, -top]], dtype=np.int64)
+    utility = np.array([edges[:4], edges[4:]])
+    ideals = np.array([[np.roll(edges, k)[:6] for k in range(4)],
+                       [np.roll(edges, -k)[:6] for k in range(4)]])
+    samples = run_samples([20, 40], units, utility, ideals)
+    path = tmp_path / "run.csv"
+    write_run_csv(_result(samples), str(path))
+    expected = [",".join(harness.RUN_CSV_HEADER)]
+    for sample in samples:
+        for cid, (u, util, ideal) in enumerate(zip(
+                sample.units.tolist(), sample.utility.tolist(),
+                sample.ideals.tolist())):
+            expected.append(",".join([str(sample.cycle), str(cid), str(u),
+                                      fmt_float(util), *map(fmt_float, ideal)]))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_report_row_markers_for_insufficient_n():

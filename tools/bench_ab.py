@@ -21,6 +21,11 @@ parent's by more than the parent's interquartile range. The verdict is
 (relative to its median) and not every change run beats every parent run;
 otherwise it is "within bound" or "beyond bound" by the change's median.
 Every run's `correct` flag and failed count are kept.
+
+`benchmark_changed` records whether `git diff --quiet HEAD -- benchmark
+BENCHMARK.json` finds a change in the working tree. When it does, the tool
+warns: each side runs its own benchmark, so the rounds compare two
+different measurements.
 """
 
 from __future__ import annotations
@@ -45,6 +50,15 @@ TRACED_PAIRS = 3
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def benchmark_changed() -> bool:
+    """Whether the working tree changes the benchmark against HEAD."""
+    code = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "benchmark",
+                           "BENCHMARK.json"], cwd=ROOT).returncode
+    if code not in (0, 1):
+        raise RuntimeError(f"git diff exited with status {code}")
+    return code == 1
 
 
 def export(rev: str) -> str:
@@ -155,10 +169,16 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     seeds, seconds = SEEDS, spec["run_seconds"]
     parent_rev = git("rev-parse", "HEAD")
+    changed = benchmark_changed()
+    if changed:
+        print("warning: the working tree changes benchmark/ or BENCHMARK.json; "
+              "each side runs its own benchmark, so the A/B compares two "
+              "different measurements", file=sys.stderr)
     sides = {"change": ROOT}
     report = {
         "parent": parent_rev,
         "change": f"working tree on {parent_rev}",
+        "benchmark_changed": changed,
         "settings": {"seconds": seconds, "seeds": list(seeds),
                      "trace_seed": seeds[0], "traced_pairs": TRACED_PAIRS,
                      "order": "alternating; the parent runs first in "
