@@ -12,6 +12,10 @@ RunConfig field names, each set at most once, and unknown keys are
 rejected, as are the keys a command always sets itself (`seed` everywhere,
 `social` in experiment, the type-set keys `n_types`, `min_type_distance`
 and `max_type_attempts` in landscape).
+
+experiment and analyze run on one worker process per usable CPU
+(`harness.usable_cpus`; `experiment --workers` overrides it), and their
+bytes, messages and exit codes do not depend on the count.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ import os
 import re
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
 from . import products, stats
 from .harness import (METRIC_NAMES, RunConfig, RunMetrics, RunResult,
-                      batch, read_run_samples, run, run_file_name,
+                      batch, pool_map, read_run_samples, run, run_file_name,
                       run_metrics, summary_row, type_set_from_config,
-                      write_run_csv, write_summary_csv, ConfigError)
+                      usable_cpus, write_run_csv, write_summary_csv,
+                      ConfigError)
 from .serialize import fmt_float, write_csv
 
 _RUN_FILE_RE = re.compile(r"run_(\d+)_(social|nonsocial)\.csv$")
@@ -203,12 +209,13 @@ def cmd_experiment(args) -> int:
     # a bad pair count, worker count or seed base fails before the output
     # directory is made, and an unusable output directory before any pair runs
     config = _validated_config(args, ("seed", "social"), seed=args.seed_base)
+    workers = usable_cpus() if args.workers is None else args.workers
     if args.pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if args.workers < 1:
+    if workers < 1:
         raise ValueError("workers must be >= 1")
     os.makedirs(args.out_dir, exist_ok=True)
-    pairs = batch(args.pairs, args.seed_base, config, workers=args.workers)
+    pairs = batch(args.pairs, args.seed_base, config, workers=workers)
     flat: list[RunResult] = []
     for pair in pairs:
         for result in (pair.social, pair.nonsocial):
@@ -222,6 +229,12 @@ def cmd_experiment(args) -> int:
                         args.out_dir, os.path.join(args.out_dir, "report.csv"))
     print(f"{args.pairs} pairs ({2 * args.pairs} runs) written to {args.out_dir}")
     return 0
+
+
+def _analyze_run(path: str, config: RunConfig) -> RunMetrics:
+    # looks both functions up on this module, so that the wrappers put
+    # there (benchmark/tracer.py) also run in the workers
+    return run_metrics(read_run_samples(path), config)
 
 
 def cmd_analyze(args) -> int:
@@ -254,9 +267,11 @@ def cmd_analyze(args) -> int:
         print(f"error: incomplete pairs for seeds: {', '.join(gaps)}",
               file=sys.stderr)
         return 1
-    pairs = [tuple(run_metrics(read_run_samples(by_seed[seed][arm]), config)
-                   for arm in ("social", "nonsocial"))
-             for seed in sorted(by_seed)]
+    paths = [by_seed[seed][arm] for seed in sorted(by_seed)
+             for arm in ("social", "nonsocial")]
+    metrics = pool_map(partial(_analyze_run, config=config), paths,
+                       usable_cpus())
+    pairs = list(zip(metrics[0::2], metrics[1::2]))
     _write_report_files(pairs, os.path.dirname(os.path.abspath(args.out)),
                         args.out)
     print(f"analysis of {len(pairs)} pairs written to {args.out}")
@@ -309,7 +324,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=30)
     p.add_argument("--seed-base", type=int, default=1)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes (default: every CPU this process "
+                        "may use)")
     _add_config_flag(p)
     p.set_defaults(func=cmd_experiment)
 

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -559,8 +561,44 @@ def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0) -> PairRes
     return PairResult(seed=seed, social=social, nonsocial=nonsocial)
 
 
-def _pair_worker(args: tuple[int, RunConfig]) -> PairResult:
-    seed, config = args
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (so `taskset` caps it), else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pool_map(fn, items: list, workers: int) -> list:
+    """`[fn(item) for item in items]`, on `min(workers, len(items))` worker
+    processes, in-process when that is 1. `fn` must be a module-level
+    function (or a `functools.partial` of one): workers look it up by name.
+
+    Results come back in item order, and the first item that fails raises
+    its exception here, whatever the worker count; the tasks not yet
+    started are then cancelled."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # the fork start method launches every worker at once: fork no more
+    # than there are items
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # the default start method (fork on Linux): workers inherit the
+    # functions installed on the modules when the pool starts, wrappers
+    # included
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            return list(pool.map(fn, items))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _pair_worker(seed: int, config: RunConfig) -> PairResult:
+    # looks `run_pair` up on the module, so that a wrapper put there
+    # (benchmark/tracer.py) also runs in the workers
     return run_pair(seed, config)
 
 
@@ -570,14 +608,8 @@ def batch(n_pairs: int, seed_base: int, config: RunConfig,
     Results come back in seed order regardless of worker count."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    seeds = [seed_base + i for i in range(n_pairs)]
-    # the fork start method launches every worker at once: fork no more
-    # than there are pairs
-    workers = min(workers, n_pairs)
-    if workers <= 1:
-        return [run_pair(seed, config) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_pair_worker, [(s, config) for s in seeds]))
+    return pool_map(partial(_pair_worker, config=config),
+                    [seed_base + i for i in range(n_pairs)], workers)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ import pytest
 from consumerlab import stats
 from consumerlab.cli import main
 from consumerlab.harness import (RunConfig, batch, run_pair, spawn_streams,
-                                 value_coverage, value_path_length)
+                                 usable_cpus, value_coverage,
+                                 value_path_length)
 from consumerlab.products import (VERTEX_PAIRS, ProductTopology,
                                   generate_type_set, landscape_distances,
                                   layout_signature, random_topology,
@@ -35,7 +36,7 @@ SEED_BASE = 1
 @pytest.fixture(scope="session")
 def experiment30():
     """The reference experiment: 30 pairs at default settings."""
-    workers = min(8, os.cpu_count() or 1)
+    workers = min(8, usable_cpus())
     return batch(N_PAIRS, SEED_BASE, DEFAULTS, workers=workers)
 
 

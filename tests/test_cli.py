@@ -2,6 +2,7 @@
 config handling and failure exits."""
 
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -204,7 +205,8 @@ def test_run_rejects_negative_maxima_radius(tmp_path, config_file, capsys):
 # experiment + analyze
 
 
-def test_experiment_and_analyze_round_trip(tmp_path, config_file, capsys):
+def test_experiment_and_analyze_round_trip(tmp_path, config_file, capsys,
+                                           monkeypatch):
     out_dir = tmp_path / "exp"
     assert main(["experiment", "--pairs", "2", "--seed-base", "11",
                  "--config", config_file, "--out-dir", str(out_dir)]) == 0
@@ -221,13 +223,17 @@ def test_experiment_and_analyze_round_trip(tmp_path, config_file, capsys):
     assert report.splitlines()[0] == ",".join(stats.REPORT_HEADER)
     assert len(report.splitlines()) == 6  # header + 5 metrics
 
-    # analyze must reproduce the report byte-exactly from the raw run CSVs
-    re_report = tmp_path / "re" / "report.csv"
-    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
-                 "--out", str(re_report)]) == 0
-    assert read(re_report) == report
-    for kde in kde_files:
-        assert read(tmp_path / "re" / kde) == read(out_dir / kde)
+    # analyze must reproduce the report byte-exactly from the raw run CSVs,
+    # in-process and on a pool of workers
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        re_dir = tmp_path / f"re{cpus}"
+        assert main(["analyze", "--in-dir", str(out_dir), "--config",
+                     config_file, "--out", str(re_dir / "report.csv")]) == 0
+        assert read(re_dir / "report.csv") == report
+        for kde in kde_files:
+            assert read(re_dir / kde) == read(out_dir / kde)
+        assert multiprocessing.active_children() == []
 
 
 def test_experiment_rerun_byte_identical(tmp_path, config_file):
@@ -385,6 +391,21 @@ def test_experiment_makes_out_dir_before_running_pairs(tmp_path, config_file,
     assert "File exists" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, workers", [([], 3), (["--workers", "2"], 2)])
+def test_experiment_workers_default_to_the_usable_cpus(
+        tmp_path, config_file, monkeypatch, flags, workers):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    seen = []
+
+    def recording_batch(*args, workers):
+        seen.append(workers)
+        return harness.batch(*args, workers=workers)
+    monkeypatch.setattr(cli, "batch", recording_batch)
+    assert main(["experiment", "--pairs", "1", *flags, "--config",
+                 config_file, "--out-dir", str(tmp_path / "exp")]) == 0
+    assert seen == [workers]
+
+
 @pytest.mark.parametrize("flags, status, message", [
     (["--pairs", "0"], 1, "error: n_pairs must be >= 1"),
     (["--seed-base", "-1"], 2, "error: invalid configuration: seed must be >= 0"),
@@ -448,24 +469,51 @@ def test_analyze_rejects_aliased_seed(tmp_path, config_file, capsys, alias,
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys):
+def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys,
+                                         monkeypatch):
     out_dir = tmp_path / "exp"
-    assert main(["experiment", "--pairs", "1", "--seed-base", "8",
+    assert main(["experiment", "--pairs", "2", "--seed-base", "8",
                  "--config", config_file, "--out-dir", str(out_dir)]) == 0
-    victim = out_dir / "run_8_social.csv"
-    lines = read(victim).splitlines(keepends=True)
+    capsys.readouterr()
+    victims = [out_dir / "run_8_social.csv", out_dir / "run_9_social.csv"]
+    lines = read(victims[0]).splitlines(keepends=True)
     bad_cell = lines[3].split(",")
     bad_cell[2] = "x"
-    # truncated, a non-numeric cell on line 4, header only
+    # truncated, a non-numeric cell on line 4, header only; seed 9's file
+    # is broken too, and the lower seed's is the one named, on any number
+    # of workers
     for text, named in (("".join(lines[:-2]), "run_8_social.csv:"),
                         ("".join(lines[:3] + [",".join(bad_cell)] + lines[4:]),
                          "run_8_social.csv:4"),
                         (lines[0], "run_8_social.csv")):
-        victim.write_text(text)
-        assert main(["analyze", "--in-dir", str(out_dir), "--config",
-                     config_file, "--out", str(tmp_path / "r.csv")]) == 1
-        err = capsys.readouterr().err
-        assert named in err, err
+        for victim in victims:
+            victim.write_text(text)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            assert main(["analyze", "--in-dir", str(out_dir), "--config",
+                         config_file, "--out", str(tmp_path / "r.csv")]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (tmp_path / "r.csv").exists()
+            assert multiprocessing.active_children() == []
+        assert named in errors[0], errors[0]
+        assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, None), (3, 3), (500, 4)])
+def test_analyze_forks_one_worker_per_usable_cpu(
+        tmp_path, config_file, monkeypatch, recording_pool, cpus, workers):
+    # four run files: no more workers than files, and none at all on one CPU
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--pairs", "2", "--seed-base", "11",
+                 "--workers", "1", "--config", config_file,
+                 "--out-dir", str(out_dir)]) == 0
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    assert [pool.max_workers for pool in recording_pool] == \
+        ([] if workers is None else [workers])
+    assert read(tmp_path / "r.csv") == read(out_dir / "report.csv")
 
 
 # ---------------------------------------------------------------------------

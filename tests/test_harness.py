@@ -318,31 +318,38 @@ def test_worker_config_error_keeps_its_problems():
     assert str(info.value) == "invalid configuration: seed must be >= 0"
 
 
-def test_batch_forks_no_more_workers_than_pairs(monkeypatch):
-    # the pool is a fake that runs the pairs in-process: no worker count
-    # asked for here starts a process
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+def test_batch_forks_no_more_workers_than_pairs(recording_pool):
     cfg = SMALL.with_overrides(cycles=40, sample_every=20)
     pairs = batch(2, 31, cfg, workers=500)
-    assert pools == [2]
+    assert [pool.max_workers for pool in recording_pool] == [2]
     assert [p.seed for p in pairs] == [31, 32]
     assert [p.seed for p in batch(1, 31, cfg, workers=500)] == [31]
-    assert pools == [2]
+    assert len(recording_pool) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_batch_rejects_workers_below_one(recording_pool, workers):
+    # such a count used to run the pairs in-process without a word
+    with pytest.raises(ValueError, match=r"^workers must be >= 1$"):
+        batch(2, 31, SMALL.with_overrides(cycles=40), workers=workers)
+    assert recording_pool == []
+
+
+def _fail_on_two(item):
+    if item == 2:
+        raise ValueError(f"item {item} failed")
+    return item * 10
+
+
+def test_pool_map_keeps_order_and_cancels_after_a_failure(recording_pool):
+    assert harness.pool_map(_fail_on_two, [0, 1, 3], 2) == [0, 10, 30]
+    assert recording_pool[0].cancelled is False
+    with pytest.raises(ValueError, match="item 2 failed"):
+        harness.pool_map(_fail_on_two, [0, 1, 2, 3], 2)
+    assert recording_pool[1].cancelled is True
+    # one worker runs in-process, without a pool
+    assert harness.pool_map(_fail_on_two, [5], 8) == [50]
+    assert len(recording_pool) == 2
 
 
 # ---------------------------------------------------------------------------
