@@ -20,7 +20,10 @@ cycle. A consumer with a navigation target walks toward it instead of
 interacting, changing or foraging. Social influence acts on one neighbour
 only: the most admired one with consumption history, else the most
 similar one. All randomness flows through the run's cycle stream, so
-equal seeds give identical action traces.
+equal seeds give identical action traces. The uniform picks among free
+neighbours (and the referral fallback in `network`) take their integer from
+that stream through `draw_below`, which returns what
+`Generator.integers(0, k)` would and leaves the stream in the same state.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from . import network
 from .cognition import AttractivenessState
 from .products import valuation
 from .serialize import left_sum
-from .space import Cell, manhattan
+from .space import Cell, ConsumptionSpace, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import World
@@ -73,17 +76,44 @@ class Consumer:
     escape_budget: int = 0
 
 
+def draw_below(rng: np.random.Generator, k: int) -> int:
+    """`int(rng.integers(0, k))`, draw for draw: the same integer, and `rng`
+    left in the same state.
+
+    For 2 <= k < 2**32 numpy runs Lemire's bounded draw on 32-bit words
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    29(1), 2019); this runs the same rejection loop on the generator's own
+    `next_uint32`, which shares numpy's buffered half-word, at a fraction
+    of the cost of a `Generator.integers` call. k = 1 takes no draw, as in
+    numpy; every other k goes to `rng.integers` itself.
+    """
+    if k == 1:
+        return 0
+    if not 0 < k < 0x100000000:
+        return int(rng.integers(0, k))
+    bits = rng.bit_generator.ctypes
+    m = bits.next_uint32(bits.state) * k
+    if m & 0xFFFFFFFF < k:
+        threshold = (0x100000000 - k) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = bits.next_uint32(bits.state) * k
+    return m >> 32
+
+
 def evaluate_situations(consumer: Consumer, world: "World") -> None:
     """Run the situation production rules against the consumer's state and
     local observables. Previously activated change situations persist until
     they complete."""
     cfg = world.config
-    consumer.dissatisfied = left_sum(consumer.recent_utilities) < 0.0
+    recent = consumer.recent_utilities
+    # an empty window sums to 0.0, which is not negative
+    consumer.dissatisfied = left_sum(recent) < 0.0 if recent else False
     consumer.bored = consumer.boredom_count >= cfg.boredom_limit
     if world.social:
-        frustrated = (consumer.dissatisfaction_count >= cfg.frustration_limit
-                      or consumer.failed_search_count >= cfg.frustration_limit)
-        consumer.interact = consumer.consuming is None and frustrated
+        limit = cfg.frustration_limit
+        consumer.interact = consumer.consuming is None and (
+            consumer.dissatisfaction_count >= limit
+            or consumer.failed_search_count >= limit)
         g = world.network
         consumer.find_friend = (
             g.degree(consumer.id) <= 2
@@ -123,7 +153,19 @@ def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
     if consumer.change_values:
         _perturb_values(consumer, world, rng)
         return
-    _forage(consumer, world, rng)
+    # foraging: consume what's underfoot if it appeals, otherwise climb the
+    # proximity gradient (random-walking across plateaus)
+    space = world.space
+    loc = consumer.location
+    pid = space._product_at.get(loc)
+    if pid is not None:
+        instance = space.products[pid]
+        if not instance.in_use:
+            # on a decline, the escape it schedules starts next cycle
+            try_begin_consumption(consumer, instance, world)
+            return
+        # a product someone else is consuming is treated as absent
+    _step(consumer, space, rng, space.ascend(loc))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +353,8 @@ def _escape_step(consumer: Consumer, world: "World",
     # the agent out of the current product's basin instead of leaving it on
     # the rim to be recaptured by the same gradient.
     consumer.escape_budget -= 1
-    _step(consumer, world, rng, world.space.descend(consumer.location))
+    space = world.space
+    _step(consumer, space, rng, space.descend(consumer.location))
     if consumer.escape_budget <= 0:
         consumer.change_location = False
         consumer.escape_budget = 0
@@ -327,33 +370,23 @@ def _perturb_values(consumer: Consumer, world: "World",
 
 
 # ---------------------------------------------------------------------------
-# foraging
+# movement
 
 
-def _step(consumer: Consumer, world: "World", rng: np.random.Generator,
-          nb: Cell) -> None:
+def _step(consumer: Consumer, space: ConsumptionSpace,
+          rng: np.random.Generator, nb: Cell) -> None:
     # one gradient step to nb; when nb is the consumer's own cell (a
     # plateau) or is taken (local competition), jostle to a random free
     # neighbour instead of retrying the same blocked cell forever
-    space = world.space
-    if nb == consumer.location or space.consumer_at(nb) is not None:
-        free = space.free_neighbor_cells(consumer.location)
-        if not free:
-            return
-        nb = free[int(rng.integers(0, len(free)))]
+    occupied = space._consumer_at
+    loc = consumer.location
+    if nb == loc or nb in occupied:
+        free = space.neighbor_cells(loc[0], loc[1])
+        # a neighbour is seldom taken (by default 40 consumers share
+        # 165 x 165 cells); when none is, the fresh list is the free one
+        if not occupied.keys().isdisjoint(free):
+            free = [cell for cell in free if cell not in occupied]
+            if not free:
+                return
+        nb = free[draw_below(rng, len(free))]
     space.move_consumer(consumer, nb)
-
-
-def _forage(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
-    # local foraging: consume what's underfoot if it appeals, otherwise
-    # climb the proximity gradient (random-walking across plateaus)
-    space = world.space
-    pid = space.product_at(consumer.location)
-    if pid is not None:
-        instance = space.products[pid]
-        if not instance.in_use:
-            # on a decline, the escape it schedules starts next cycle
-            try_begin_consumption(consumer, instance, world)
-            return
-        # a product someone else is consuming is treated as absent
-    _step(consumer, world, rng, space.ascend(consumer.location))

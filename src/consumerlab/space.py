@@ -4,10 +4,12 @@ product proximity field that reduces foraging to gradient ascent/descent.
 A cell is a plain (x, y) tuple of ints with 0 <= x < width and
 0 <= y < height. Neighbor order is fixed N, E, S, W with north at y - 1;
 movement and tie-breaking depend on that order, so it must never change.
-`ConsumptionSpace.neighbor_cells` is the one routine that enumerates
-neighbours and so owns that order; every other neighbourhood
-(`von_neumann_neighbors`, `free_neighbor_cells`, `ascend`, `descend`)
-iterates it.
+`ConsumptionSpace.neighbor_cells` owns that order for every routine that
+takes a list of neighbours: `von_neumann_neighbors`, `free_neighbor_cells`
+and the random step to a free neighbour in `agents`. `ascend` and
+`descend` run once per moving consumer per cycle, so they test the four
+neighbours inline, in the same N, E, S, W order, without building a list;
+the tests hold both routines to one reference neighbourhood.
 
 A consumer's cell is recorded once, in `Consumer.location`; the space keeps
 only the cell -> consumer id index, and placing or moving a consumer
@@ -19,6 +21,12 @@ computed once per space and cut to the offsets the grid can hold. A
 respawn zeroes the old cell's reach and repaints only the products whose
 stamps overlap it, plus the moved product at its new cell; max is exact
 and order-free, so this equals a full rebuild bit for bit.
+
+`field` is the one copy of the proximity field: a (height, width) float64
+array that every write goes to in place. `ascend` and `descend` read it
+through `_field_view`, a flat row-major memoryview of the same buffer,
+which yields plain Python floats at a fraction of numpy's scalar-indexing
+cost; sharing the buffer means there is nothing to keep in sync.
 """
 
 from __future__ import annotations
@@ -60,6 +68,9 @@ class ConsumptionSpace:
         self.height = height
         self.radius = proximity_radius
         self.field = np.zeros((height, width))
+        # the same buffer, flat and read as Python floats:
+        # field[y, x] == _field_view[y * width + x]
+        self._field_view = memoryview(self.field).cast("B").cast("d")
         # stamp[ry + dy, rx + dx] = max(0, 1 - (|dx| + |dy|) / R), cut to
         # the offsets a grid this size can hold
         self._stamp_rx = min(proximity_radius, width - 1)
@@ -79,6 +90,8 @@ class ConsumptionSpace:
     def neighbor_cells(self, x: int, y: int) -> list[Cell]:
         """In-bounds orthogonal neighbors of (x, y) in the fixed N, E, S, W
         order."""
+        if 0 < x < self.width - 1 and 0 < y < self.height - 1:
+            return [(x, y - 1), (x + 1, y), (x, y + 1), (x - 1, y)]
         cells = []
         if y > 0:
             cells.append((x, y - 1))
@@ -109,12 +122,15 @@ class ConsumptionSpace:
         """Every pair of consumers on orthogonally adjacent cells, once, as
         (lower id, higher id) in ascending order. Each adjacency is found
         from its west or north end, by looking east and south only."""
-        at = self._consumer_at.get
+        occupied = self._consumer_at
         pairs = []
-        for (x, y), a in self._consumer_at.items():
-            for b in (at((x + 1, y)), at((x, y + 1))):
-                if b is not None:
-                    pairs.append((a, b) if a < b else (b, a))
+        for (x, y), a in occupied.items():
+            if (x + 1, y) in occupied:
+                b = occupied[x + 1, y]
+                pairs.append((a, b) if a < b else (b, a))
+            if (x, y + 1) in occupied:
+                b = occupied[x, y + 1]
+                pairs.append((a, b) if a < b else (b, a))
         pairs.sort()
         return pairs
 
@@ -141,12 +157,17 @@ class ConsumptionSpace:
         current = consumer.location
         if to == current:
             return True
-        if manhattan(current, to) != 1 or not self.in_bounds(to):
+        x, y = to
+        dx, dy = x - current[0], y - current[1]
+        # integer steps: dx*dx + dy*dy == 1 exactly when |dx| + |dy| == 1
+        if (dx * dx + dy * dy != 1
+                or not (0 <= x < self.width and 0 <= y < self.height)):
             raise ValueError(f"{to} is not a von Neumann neighbor of {current}")
-        if to in self._consumer_at:
+        occupied = self._consumer_at
+        if to in occupied:
             return False
-        del self._consumer_at[current]
-        self._consumer_at[to] = consumer.id
+        del occupied[current]
+        occupied[to] = consumer.id
         consumer.location = to
         return True
 
@@ -191,27 +212,51 @@ class ConsumptionSpace:
     def ascend(self, loc: Cell) -> Cell:
         """Neighbor with the largest field value, ties resolved by N, E, S, W
         order; returns `loc` when no neighbor strictly improves."""
-        field = self.field
-        best = field[loc[1], loc[0]]
+        x, y = loc
+        w = self.width
+        field = self._field_view
+        i = y * w + x
+        best = field[i]
         best_cell = loc
-        for cell in self.neighbor_cells(*loc):
-            v = field[cell[1], cell[0]]
+        if y > 0:
+            v = field[i - w]
             if v > best:
-                best = v
-                best_cell = cell
+                best, best_cell = v, (x, y - 1)
+        if x < w - 1:
+            v = field[i + 1]
+            if v > best:
+                best, best_cell = v, (x + 1, y)
+        if y < self.height - 1:
+            v = field[i + w]
+            if v > best:
+                best, best_cell = v, (x, y + 1)
+        if x > 0 and field[i - 1] > best:
+            best_cell = (x - 1, y)
         return best_cell
 
     def descend(self, loc: Cell) -> Cell:
         """Neighbor with the smallest field value, same tie rule; returns
         `loc` when no neighbor strictly decreases."""
-        field = self.field
-        best = field[loc[1], loc[0]]
+        x, y = loc
+        w = self.width
+        field = self._field_view
+        i = y * w + x
+        best = field[i]
         best_cell = loc
-        for cell in self.neighbor_cells(*loc):
-            v = field[cell[1], cell[0]]
+        if y > 0:
+            v = field[i - w]
             if v < best:
-                best = v
-                best_cell = cell
+                best, best_cell = v, (x, y - 1)
+        if x < w - 1:
+            v = field[i + 1]
+            if v < best:
+                best, best_cell = v, (x + 1, y)
+        if y < self.height - 1:
+            v = field[i + w]
+            if v < best:
+                best, best_cell = v, (x, y + 1)
+        if x > 0 and field[i - 1] < best:
+            best_cell = (x - 1, y)
         return best_cell
 
     # -- respawn --------------------------------------------------------------

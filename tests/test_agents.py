@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from consumerlab.agents import (Consumer, act, adjust_values,
-                                complete_consumption, evaluate_situations,
+                                complete_consumption, draw_below,
+                                evaluate_situations,
                                 influence_target, interact_socially,
                                 try_begin_consumption)
 from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
@@ -541,3 +542,51 @@ def test_product_being_consumed_treated_as_absent():
     act(c, world, rng)
     assert c.consuming is None
     assert c.failed_search_count == 0
+
+
+# ---------------------------------------------------------------------------
+# bounded draws
+
+
+def test_draw_below_matches_generator_integers():
+    # draw_below must return what rng.integers(0, k) returns and leave the
+    # generator in the same state, buffered half-word included, when its
+    # draws are mixed with other kinds of draw; 2**31 + 5 rejects about half
+    # of its words, so the rejection loop is exercised, and k = 1 must take
+    # no word at all
+    in_range = [1, 2, 3, 4, 39, 2**31 + 5, 2**32 - 1]
+    out_of_range = [0, 2**32, 2**40]
+    for k in in_range + out_of_range:
+        for half_used in (False, True):
+            ours = np.random.default_rng(k % 1000 + 17)
+            numpys = np.random.default_rng(k % 1000 + 17)
+            if half_used:
+                # one 32-bit draw leaves the other half of a word buffered
+                for rng in (ours, numpys):
+                    rng.random(dtype=np.float32)
+                assert ours.bit_generator.state["has_uint32"] == 1
+            for i in range(400):
+                if k == 0:
+                    with pytest.raises(ValueError) as got:
+                        draw_below(ours, k)
+                    with pytest.raises(ValueError) as want:
+                        numpys.integers(0, k)
+                    assert str(got.value) == str(want.value)
+                else:
+                    got = draw_below(ours, k)
+                    assert type(got) is int
+                    assert got == int(numpys.integers(0, k))
+                kind = i % 4
+                if kind == 1:
+                    assert (ours.permutation(7).tolist()
+                            == numpys.permutation(7).tolist())
+                elif kind == 2:
+                    assert ours.uniform() == numpys.uniform()
+                elif kind == 3:
+                    assert ours.normal() == numpys.normal()
+                if i % 50 == 0:
+                    assert ours.bit_generator.state == numpys.bit_generator.state
+            state = ours.bit_generator.state
+            assert state == numpys.bit_generator.state
+            assert state["has_uint32"] == numpys.bit_generator.state["has_uint32"]
+            assert state["uinteger"] == numpys.bit_generator.state["uinteger"]

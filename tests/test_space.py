@@ -146,6 +146,35 @@ def test_move_to_non_adjacent_cell_raises():
         space.move_consumer(c, (5, 3))
 
 
+@pytest.mark.parametrize("width, height", GRID_SHAPES)
+def test_move_rejects_diagonal_distant_and_off_grid_targets(width, height):
+    # from every cell: the four diagonals, the four cells two steps away
+    # and, where the cell lies on an edge, the off-grid cell one step past
+    # it; every such move raises and leaves the consumer and the occupancy
+    # index as they were
+    for x in range(width):
+        for y in range(height):
+            space = make_space(width=width, height=height)
+            c = place(space, 0, x, y)
+            other = next(((ox, oy) for ox in range(width)
+                          for oy in range(height) if (ox, oy) != (x, y)), None)
+            if other is not None:
+                place(space, 1, *other)
+            occupancy = dict(space._consumer_at)
+            targets = [(x + dx, y + dy) for dx in (-1, 1) for dy in (-1, 1)]
+            targets += [(x, y - 2), (x + 2, y), (x, y + 2), (x - 2, y)]
+            targets += [nb for nb in [(x, y - 1), (x + 1, y), (x, y + 1),
+                                      (x - 1, y)]
+                        if not (0 <= nb[0] < width and 0 <= nb[1] < height)]
+            for target in targets:
+                with pytest.raises(ValueError):
+                    space.move_consumer(c, target)
+                assert c.location == (x, y)
+                assert space._consumer_at == occupancy
+            # the off-grid targets above are exactly the missing neighbours
+            assert len(targets) == 8 + 4 - len(space.neighbor_cells(x, y))
+
+
 def test_two_consumers_cannot_share_a_cell():
     space = make_space()
     place(space, 0, 3, 3)
@@ -232,6 +261,19 @@ def reference_steepest(space, loc, better):
     return best_loc
 
 
+def assert_steepest_match_reference(space):
+    # ascend and descend read the field through their own view of it, so
+    # checking them against the array itself catches a stale view
+    for x in range(space.width):
+        for y in range(space.height):
+            loc = (x, y)
+            up = space.ascend(loc)
+            down = space.descend(loc)
+            assert up == reference_steepest(space, loc, lambda v, b: v > b)
+            assert down == reference_steepest(space, loc, lambda v, b: v < b)
+            assert type(up) is tuple and type(down) is tuple
+
+
 @pytest.mark.parametrize("width, height", GRID_SHAPES)
 def test_ascend_descend_match_reference_with_exact_ties(width, height):
     # fields drawn from three levels, so neighbours tie exactly and often,
@@ -240,14 +282,24 @@ def test_ascend_descend_match_reference_with_exact_ties(width, height):
     space = make_space(width=width, height=height)
     for trial in range(30):
         space.field[:] = rng.integers(0, 3, size=(height, width)) / 2.0
-        for x in range(width):
-            for y in range(height):
-                loc = (x, y)
-                up = space.ascend(loc)
-                down = space.descend(loc)
-                assert up == reference_steepest(space, loc, lambda v, b: v > b)
-                assert down == reference_steepest(space, loc, lambda v, b: v < b)
-                assert type(up) is tuple and type(down) is tuple
+        assert_steepest_match_reference(space)
+
+
+@pytest.mark.parametrize("width, height", GRID_SHAPES)
+def test_ascend_descend_follow_writes_to_the_field(width, height):
+    # single-cell writes, then a rebuild from the products, then single-cell
+    # writes again: the steps follow the array through all of them
+    rng = np.random.default_rng(width * 7 + height)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    space = make_space(width=width, height=height, radius=3,
+                       products=sorted({cells[0], cells[-1]}))
+    for trial in range(10):
+        for _ in range(3):
+            x, y = cells[int(rng.integers(0, len(cells)))]
+            space.field[y, x] = float(rng.integers(0, 3)) / 2.0
+            assert_steepest_match_reference(space)
+        space.rebuild_field()
+        assert_steepest_match_reference(space)
 
 
 def test_ascend_plateau_returns_location():
@@ -363,6 +415,7 @@ def test_field_matches_definition_after_every_respawn(width, height, radius,
     for _ in range(300):
         space.respawn_product(int(rng.integers(0, n_products)), rng, sigma)
         assert np.array_equal(space.field, definition_field(space))
+        assert_steepest_match_reference(space)
 
 
 def test_rebuild_with_no_products_zeroes_field():
