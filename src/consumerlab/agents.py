@@ -22,7 +22,7 @@ only: the most admired one with consumption history, else the most
 similar one. All randomness flows through the run's cycle stream, so
 equal seeds give identical action traces. The uniform picks among free
 neighbours (and the referral fallback in `network`) take their integer from
-that stream through `draw_below`, which returns what
+that stream through `serialize.draw_below`, which returns what
 `Generator.integers(0, k)` would and leaves the stream in the same state.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 from . import network
 from .cognition import AttractivenessState
 from .products import valuation
-from .serialize import left_sum
+from .serialize import draw_below, left_sum
 from .space import Cell, ConsumptionSpace, manhattan
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -76,44 +76,17 @@ class Consumer:
     escape_budget: int = 0
 
 
-def draw_below(rng: np.random.Generator, k: int) -> int:
-    """`int(rng.integers(0, k))`, draw for draw: the same integer, and `rng`
-    left in the same state.
-
-    For 2 <= k < 2**32 numpy runs Lemire's bounded draw on 32-bit words
-    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
-    29(1), 2019); this runs the same rejection loop on the generator's own
-    `next_uint32`, which shares numpy's buffered half-word, at a fraction
-    of the cost of a `Generator.integers` call. k = 1 takes no draw, as in
-    numpy; every other k goes to `rng.integers` itself.
-    """
-    if k == 1:
-        return 0
-    if not 0 < k < 0x100000000:
-        return int(rng.integers(0, k))
-    bits = rng.bit_generator.ctypes
-    m = bits.next_uint32(bits.state) * k
-    if m & 0xFFFFFFFF < k:
-        threshold = (0x100000000 - k) % k
-        while m & 0xFFFFFFFF < threshold:
-            m = bits.next_uint32(bits.state) * k
-    return m >> 32
-
-
 def evaluate_situations(consumer: Consumer, world: "World") -> None:
     """Run the situation production rules against the consumer's state and
     local observables. Previously activated change situations persist until
     they complete."""
     cfg = world.config
-    recent = consumer.recent_utilities
-    # an empty window sums to 0.0, which is not negative
-    consumer.dissatisfied = left_sum(recent) < 0.0 if recent else False
+    consumer.dissatisfied = left_sum(consumer.recent_utilities) < 0.0
     consumer.bored = consumer.boredom_count >= cfg.boredom_limit
     if world.social:
-        limit = cfg.frustration_limit
-        consumer.interact = consumer.consuming is None and (
-            consumer.dissatisfaction_count >= limit
-            or consumer.failed_search_count >= limit)
+        frustrated = (consumer.dissatisfaction_count >= cfg.frustration_limit
+                      or consumer.failed_search_count >= cfg.frustration_limit)
+        consumer.interact = consumer.consuming is None and frustrated
         g = world.network
         consumer.find_friend = (
             g.degree(consumer.id) <= 2
@@ -157,7 +130,7 @@ def act(consumer: Consumer, world: "World", rng: np.random.Generator) -> None:
     # proximity gradient (random-walking across plateaus)
     space = world.space
     loc = consumer.location
-    pid = space._product_at.get(loc)
+    pid = space.product_at(loc)
     if pid is not None:
         instance = space.products[pid]
         if not instance.in_use:
@@ -378,15 +351,10 @@ def _step(consumer: Consumer, space: ConsumptionSpace,
     # one gradient step to nb; when nb is the consumer's own cell (a
     # plateau) or is taken (local competition), jostle to a random free
     # neighbour instead of retrying the same blocked cell forever
-    occupied = space._consumer_at
     loc = consumer.location
-    if nb == loc or nb in occupied:
-        free = space.neighbor_cells(loc[0], loc[1])
-        # a neighbour is seldom taken (by default 40 consumers share
-        # 165 x 165 cells); when none is, the fresh list is the free one
-        if not occupied.keys().isdisjoint(free):
-            free = [cell for cell in free if cell not in occupied]
-            if not free:
-                return
+    if nb == loc or space.consumer_at(nb) is not None:
+        free = space.free_neighbor_cells(loc)
+        if not free:
+            return
         nb = free[draw_below(rng, len(free))]
     space.move_consumer(consumer, nb)

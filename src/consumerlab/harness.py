@@ -318,19 +318,16 @@ class World:
         if self.social:
             self.network.decay_all(cfg.tie_decay, cfg.tie_removal_floor)
         rng = self.rng
-        # the module-level names are read once per cycle, so a wrapper put
-        # in their place (the benchmark's tracer) still sees every call
-        consumers, evaluate, fire = self.consumers, evaluate_situations, act
         for idx in rng.permutation(cfg.n_consumers).tolist():
-            consumer = consumers[idx]
-            evaluate(consumer, self)
-            fire(consumer, self, rng)
+            consumer = self.consumers[idx]
+            evaluate_situations(consumer, self)
+            act(consumer, self, rng)
             if consumer.consuming is None:
                 consumer.boredom_count += 1
         if self.social:
             self._strengthen_contacts()
         for instance_id in self._pending_respawns:
-            self.space.respawn_product(instance_id, rng, cfg.respawn_sigma)
+            self.space.respawn_product(instance_id, self.rng, cfg.respawn_sigma)
         self._pending_respawns.clear()
 
     def _strengthen_contacts(self) -> None:

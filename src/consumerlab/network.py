@@ -13,8 +13,7 @@ import struct
 
 import numpy as np
 
-from . import agents
-from .serialize import left_sum
+from .serialize import draw_below, left_sum
 
 
 class TieGraph:
@@ -192,6 +191,6 @@ def referral(g: TieGraph, consumer_id: int, rng: np.random.Generator,
                       if b != consumer_id and not g.has_tie(consumer_id, b)]
         if not candidates:
             return None
-        best = candidates[agents.draw_below(rng, len(candidates))]
+        best = candidates[draw_below(rng, len(candidates))]
     g.add_tie(consumer_id, best, strength)
     return best

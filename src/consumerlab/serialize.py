@@ -1,5 +1,5 @@
-"""Shared determinism plumbing: exact float formatting and summation, and
-atomic file writes.
+"""Shared determinism plumbing: exact float formatting and summation, a
+bounded integer draw equal to numpy's, and atomic file writes.
 
 All files are written with '.' decimals, LF line endings and no locale
 dependence so that repeated runs produce byte-identical output.
@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import os
 import tempfile
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 def fmt_float(x: float) -> str:
@@ -28,6 +32,30 @@ def left_sum(values) -> float:
     for value in values:
         total += value
     return total
+
+
+def draw_below(rng: np.random.Generator, k: int) -> int:
+    """`int(rng.integers(0, k))`, draw for draw: the same integer, and `rng`
+    left in the same state.
+
+    For 2 <= k < 2**32 numpy runs Lemire's bounded draw on 32-bit words
+    (Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+    29(1), 2019); this runs the same rejection loop on the generator's own
+    `next_uint32`, which shares numpy's buffered half-word, at a fraction
+    of the cost of a `Generator.integers` call. k = 1 takes no draw, as in
+    numpy; every other k goes to `rng.integers` itself.
+    """
+    if k == 1:
+        return 0
+    if not 0 < k < 0x100000000:
+        return int(rng.integers(0, k))
+    bits = rng.bit_generator.ctypes
+    m = bits.next_uint32(bits.state) * k
+    if m & 0xFFFFFFFF < k:
+        threshold = (0x100000000 - k) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = bits.next_uint32(bits.state) * k
+    return m >> 32
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -5,8 +5,9 @@ A cell is a plain (x, y) tuple of ints with 0 <= x < width and
 0 <= y < height. Neighbor order is fixed N, E, S, W with north at y - 1;
 movement and tie-breaking depend on that order, so it must never change.
 `ConsumptionSpace.neighbor_cells` owns that order for every routine that
-takes a list of neighbours: `von_neumann_neighbors`, `free_neighbor_cells`
-and the random step to a free neighbour in `agents`. `ascend` and
+takes a list of neighbours: `von_neumann_neighbors` and
+`free_neighbor_cells`, which the random step to a free neighbour and the
+navigation step in `agents` use. `ascend` and
 `descend` run once per moving consumer per cycle, so they test the four
 neighbours inline, in the same N, E, S, W order, without building a list;
 the tests hold both routines to one reference neighbourhood.
@@ -115,22 +116,23 @@ class ConsumptionSpace:
     def free_neighbor_cells(self, loc: Cell) -> list[Cell]:
         """The neighbor cells (N, E, S, W order) holding no consumer."""
         occupied = self._consumer_at
-        return [cell for cell in self.neighbor_cells(*loc)
-                if cell not in occupied]
+        cells = self.neighbor_cells(*loc)
+        # on a default pair 5 % of the plateau steps that call this meet a
+        # taken neighbour; the fresh list is returned as it is otherwise
+        if occupied.keys().isdisjoint(cells):
+            return cells
+        return [cell for cell in cells if cell not in occupied]
 
     def contact_pairs(self) -> list[tuple[int, int]]:
         """Every pair of consumers on orthogonally adjacent cells, once, as
         (lower id, higher id) in ascending order. Each adjacency is found
         from its west or north end, by looking east and south only."""
-        occupied = self._consumer_at
+        at = self._consumer_at.get
         pairs = []
-        for (x, y), a in occupied.items():
-            if (x + 1, y) in occupied:
-                b = occupied[x + 1, y]
-                pairs.append((a, b) if a < b else (b, a))
-            if (x, y + 1) in occupied:
-                b = occupied[x, y + 1]
-                pairs.append((a, b) if a < b else (b, a))
+        for (x, y), a in self._consumer_at.items():
+            for b in (at((x + 1, y)), at((x, y + 1))):
+                if b is not None:
+                    pairs.append((a, b) if a < b else (b, a))
         pairs.sort()
         return pairs
 

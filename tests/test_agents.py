@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from consumerlab.agents import (Consumer, act, adjust_values,
-                                complete_consumption, draw_below,
-                                evaluate_situations,
+                                complete_consumption, evaluate_situations,
                                 influence_target, interact_socially,
                                 try_begin_consumption)
 from consumerlab.cognition import AttractivenessState, SelfOrganizingMap
 from consumerlab.harness import RunConfig
 from consumerlab.network import TieGraph
 from consumerlab.products import ProductType, ProductTopology, utility_from_edges
+from consumerlab.serialize import draw_below
 from consumerlab.space import ConsumptionSpace, ProductInstance
 
 

@@ -102,6 +102,8 @@ def test_free_neighbor_cells_skip_consumers_in_nesw_order():
     place(space, 1, 1, 2)
     assert space.free_neighbor_cells((1, 1)) == [(2, 1), (0, 1)]
     assert space.free_neighbor_cells((0, 0)) == [(0, 1)]
+    # no neighbour taken: every in-bounds neighbour, still in N, E, S, W order
+    assert space.free_neighbor_cells((0, 1)) == [(0, 0), (1, 1), (0, 2)]
 
 
 # ---------------------------------------------------------------------------
