@@ -35,7 +35,7 @@ from .harness import (METRIC_NAMES, RunConfig, RunMetrics, RunResult,
                       run_metrics, summary_row, type_set_from_config,
                       usable_cpus, write_run_csv, write_summary_csv,
                       ConfigError)
-from .serialize import fmt_float, write_csv
+from .serialize import fmt_float, open_utf8, write_csv
 
 _RUN_FILE_RE = re.compile(r"run_(\d+)_(social|nonsocial)\.csv$")
 
@@ -47,7 +47,7 @@ _RUN_FILE_RE = re.compile(r"run_(\d+)_(social|nonsocial)\.csv$")
 def parse_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -193,9 +193,9 @@ def _write_report_files(metrics_by_pair: list[tuple[RunMetrics, RunMetrics]],
                 continue
             metric_pairs[name][0].append(s_val)
             metric_pairs[name][1].append(ns_val)
-    rows = [stats.comparison_row(name, social, nonsocial)
-            for name, (social, nonsocial) in metric_pairs.items()]
-    write_csv(report_path, stats.REPORT_HEADER, rows)
+    write_csv(report_path, stats.REPORT_HEADER, (
+        ",".join(stats.comparison_row(name, social, nonsocial))
+        for name, (social, nonsocial) in metric_pairs.items()))
     for name in ("mean_units", "mean_coverage", "mean_path_length"):
         social, nonsocial = metric_pairs[name]
         for arm, values in (("social", social), ("nonsocial", nonsocial)):

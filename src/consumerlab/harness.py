@@ -29,8 +29,7 @@ from .cognition import AttractivenessState, SelfOrganizingMap
 from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
                        shared_layouts, signature_matrix)
-from . import serialize
-from .serialize import fmt_optional, write_csv
+from .serialize import fmt_optional, open_utf8, write_csv
 from .space import Cell, ConsumptionSpace, ProductInstance
 
 SIGNATURE_DIM = 6
@@ -628,17 +627,13 @@ def run_file_name(seed: int, social: bool) -> str:
 
 
 def write_run_csv(result: RunResult, path: str) -> None:
-    lines = [",".join(RUN_CSV_HEADER)]
-    for sample in result.samples:
-        # one period at a time: whole columns as Python objects cost memory
-        cycle = int(sample.cycle)
-        lines.extend(RUN_ROW_FORMAT % (cycle, cid, units, utility, *ideal)
-                     for cid, (units, utility, ideal) in enumerate(zip(
-                         sample.units.tolist(), sample.utility.tolist(),
-                         sample.ideals.tolist())))
-    # looked up on the module, as write_csv does, so that a wrapper put
-    # there (benchmark/tracer.py) also sees the run CSVs
-    serialize.atomic_write_text(path, "\n".join(lines) + "\n")
+    # one period at a time: whole columns as Python objects cost memory
+    write_csv(path, RUN_CSV_HEADER, (
+        RUN_ROW_FORMAT % (cycle, cid, units, utility, *ideal)
+        for cycle, sample in zip(result.samples.cycle.tolist(), result.samples)
+        for cid, (units, utility, ideal) in enumerate(zip(
+            sample.units.tolist(), sample.utility.tolist(),
+            sample.ideals.tolist()))))
 
 
 # one run CSV row on the fast path
@@ -661,7 +656,7 @@ def read_run_samples(path: str) -> np.recarray:
     distinct cycles and consumer ids 0..n-1 in order, as the program writes
     it. Any other body, including every malformed one, goes through
     `read_run_lines`, which returns the same samples or raises its error."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         if fh.readline().strip().split(",") != RUN_CSV_HEADER:
             raise ValueError(f"{path}: unexpected run CSV header")
         rows = _parse_run_body(fh)
@@ -721,7 +716,7 @@ def read_run_lines(path: str) -> np.recarray:
     groups: dict[int, tuple[list[int], list[float], list[list[float]]]] = {}
     order: list[int] = []
     first_line: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip().split(",")
         if header != RUN_CSV_HEADER:
             raise ValueError(f"{path}: unexpected run CSV header")
@@ -773,4 +768,4 @@ def summary_row(result: RunResult) -> list[str]:
 
 
 def write_summary_csv(results: list[RunResult], path: str) -> None:
-    write_csv(path, SUMMARY_HEADER, [summary_row(r) for r in results])
+    write_csv(path, SUMMARY_HEADER, (",".join(summary_row(r)) for r in results))

@@ -477,11 +477,8 @@ def write_type_csv(types, path: str, extra_header=(), extra_cells=None,
     """Write one row per type; reals carry 17 significant digits so a
     re-read reproduces them exactly. `extra_header` names the columns of
     `extra_cells`, one list of cells per type."""
-    rows = []
-    for k, t in enumerate(types):
-        cells = [str(t.type_id), str(t.topology.edge_count), fmt_float(t.utility)]
-        cells.extend(fmt_float(float(s)) for s in t.signature)
-        if extra_cells is not None:
-            cells.extend(extra_cells[k])
-        rows.append(cells)
-    write_csv(path, TYPE_CSV_HEADER + list(extra_header), rows, trailer)
+    extras = [()] * len(types) if extra_cells is None else extra_cells
+    write_csv(path, TYPE_CSV_HEADER + list(extra_header), (
+        ",".join([str(t.type_id), str(t.topology.edge_count), fmt_float(t.utility),
+                  *(fmt_float(float(s)) for s in t.signature), *extra])
+        for t, extra in zip(types, extras, strict=True)), trailer)

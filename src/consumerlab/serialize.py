@@ -1,5 +1,5 @@
 """Shared determinism plumbing: exact float formatting and summation, a
-bounded integer draw equal to numpy's, and atomic file writes.
+bounded integer draw equal to numpy's, streamed atomic writes, UTF-8 reads.
 
 All files are written with '.' decimals, LF line endings and no locale
 dependence so that repeated runs produce byte-identical output.
@@ -8,8 +8,10 @@ dependence so that repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import os
-import tempfile
-from typing import TYPE_CHECKING
+import secrets
+from contextlib import contextmanager
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -58,30 +60,47 @@ def draw_below(rng: np.random.Generator, k: int) -> int:
     return m >> 32
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to `path` via a temp file + rename in the same directory."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the strings of `chunks` to `path` via a temp file + rename in
+    the same directory; the file gets the mode `open(path, "w")` gives."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
+    # "x": a new file (a taken name fails, never overwrites), mode 0o666 & ~umask
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.csv")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def write_csv(path: str, header: list[str], rows: list[list[str]],
+def write_csv(path: str, header: list[str], lines: Iterable[str],
               trailer: str | None = None) -> None:
-    """Write a simple comma-separated file atomically.
+    """Stream a CSV file to `path` atomically, one LF-ended line each: the
+    header, every string of `lines` (a row, its cells joined by commas; a
+    generator is read as it is written), then `trailer` verbatim if given."""
+    tail = () if trailer is None else (trailer,)
+    atomic_write_text(path, (line + "\n" for line in
+                             chain((",".join(header),), lines, tail)))
 
-    `trailer`, when given, is appended verbatim as a final line (used for
-    '#'-prefixed summary lines that readers skip).
-    """
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    if trailer is not None:
-        lines.append(trailer)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+@contextmanager
+def open_utf8(path: str):
+    """Open `path` to read UTF-8 text; invalid bytes raise ValueError at file:line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # bytes.splitlines breaks lines where text mode does: at LF, CR, CRLF
+        for lineno, line in enumerate(data.splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                                 f"({err.reason})") from None
+        raise

@@ -339,6 +339,6 @@ def comparison_row(metric: str, social, nonsocial) -> list[str]:
 
 
 def write_density_csv(table: DensityTable, path: str) -> None:
-    write_csv(path, ["x", "density"],
-              [[fmt_float(float(x)), fmt_float(float(d))]
-               for x, d in zip(table.x, table.density)])
+    write_csv(path, ["x", "density"], (
+        f"{fmt_float(x)},{fmt_float(d)}"
+        for x, d in zip(table.x.tolist(), table.density.tolist())))

@@ -19,13 +19,12 @@ import pytest
 
 from consumerlab import stats
 from consumerlab.cli import main
-from consumerlab.harness import (RunConfig, batch, run_pair, spawn_streams,
-                                 usable_cpus, value_coverage,
-                                 value_path_length)
+from consumerlab.harness import (RunConfig, batch, run_pair,
+                                 type_set_from_config, usable_cpus,
+                                 value_coverage, value_path_length)
 from consumerlab.products import (VERTEX_PAIRS, ProductTopology,
-                                  generate_type_set, landscape_distances,
-                                  layout_signature, random_topology,
-                                  utility_from_edges)
+                                  landscape_distances, layout_signature,
+                                  random_topology, utility_from_edges)
 
 DEFAULTS = RunConfig()
 
@@ -177,9 +176,8 @@ def test_a5_fdc_negativity():
     start = time.monotonic()
     values = []
     for seed in range(30):
-        rng = spawn_streams(seed)["types"]
-        types = generate_type_set(DEFAULTS.n_types, DEFAULTS.min_type_distance,
-                                  rng, max_attempts=DEFAULTS.max_type_attempts)
+        # the type set a default run at this seed uses
+        types = type_set_from_config(DEFAULTS.with_overrides(seed=seed))
         _, dists = landscape_distances(types)
         values.append(stats.fdc([t.utility for t in types], dists))
     elapsed = time.monotonic() - start

@@ -500,6 +500,24 @@ def test_analyze_truncated_run_csv_fails(tmp_path, config_file, capsys,
         assert errors[1] == errors[0]
 
 
+def test_analyze_names_a_run_csv_that_is_not_utf8(tmp_path, config_file,
+                                                 capsys):
+    # the decoder's message used to stand alone, without the file
+    out_dir = tmp_path / "exp"
+    assert main(["experiment", "--pairs", "1", "--seed-base", "8",
+                 "--config", config_file, "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    victim = out_dir / "run_8_social.csv"
+    lines = victim.read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b",", b"\xff,", 1)
+    victim.write_bytes(b"".join(lines))
+    assert main(["analyze", "--in-dir", str(out_dir), "--config", config_file,
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: {victim}:{len(lines)}: not UTF-8 text (invalid start byte)"
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("cpus, workers", [(1, None), (3, 3), (500, 4)])
 def test_analyze_forks_one_worker_per_usable_cpu(
         tmp_path, config_file, monkeypatch, recording_pool, cpus, workers):
@@ -535,6 +553,19 @@ def test_repeated_config_key_rejected(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == \
         f"error: {path}:3: cycles is already set on line 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys, newline):
+    # lines are counted as the parser counts them, whatever the line ends
+    path = tmp_path / "c.cfg"
+    path.write_bytes(newline.join([b"# ok", b"cycles = 100", b"\xff = 1", b""]))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--seed", "1", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}:3: not UTF-8 text (invalid start byte)\n"
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ import hashlib
 import math
 import pickle
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -722,6 +723,43 @@ def test_run_csv_rows_match_per_cell_formatting(tmp_path):
             expected.append(",".join([str(sample.cycle), str(cid), str(u),
                                       fmt_float(util), *map(fmt_float, ideal)]))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_run_csv_writer_streams(tmp_path):
+    # a full-length run CSV (500 periods x 40 consumers, about 2.9 MB) goes
+    # to the file row by row: the writer never holds the file's text
+    rng = np.random.default_rng(5)
+    samples = run_samples(np.arange(1, 501) * 20,
+                          rng.integers(0, 4, (500, 40)),
+                          rng.normal(size=(500, 40)),
+                          rng.uniform(0.0, 2.0, (500, 40, 6)))
+    path = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        write_run_csv(_result(samples), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2_500_000
+    assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("reader", [read_run_samples, read_run_lines])
+def test_run_csv_readers_name_the_line_that_is_not_utf8(tmp_path, reader):
+    # far past the first block the text reader decodes at once
+    rng = np.random.default_rng(6)
+    samples = run_samples(np.arange(1, 501) * 20, rng.integers(0, 4, (500, 4)),
+                          rng.normal(size=(500, 4)),
+                          rng.uniform(0.0, 2.0, (500, 4, 6)))
+    path = tmp_path / "run.csv"
+    write_run_csv(_result(samples), str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1500] = lines[1500].replace(b".", b".\xe9", 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as err:
+        reader(str(path))
+    assert str(err.value) == f"{path}:1501: not UTF-8 text (invalid " \
+                             f"continuation byte)"
 
 
 def test_report_row_markers_for_insufficient_n():
