@@ -28,7 +28,7 @@ from .agents import Consumer, act, evaluate_situations
 from .cognition import AttractivenessState, SelfOrganizingMap
 from .network import TieGraph, watts_strogatz
 from .products import (ProductType, generate_type_set, landscape_distances,
-                       shared_layouts, signature_matrix)
+                       signature_matrix)
 from .serialize import fmt_optional, open_utf8, write_csv
 from .space import Cell, ConsumptionSpace, ProductInstance
 
@@ -545,15 +545,13 @@ def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0) -> PairRes
     initial states must agree bit-exactly; a checksum mismatch is an
     internal determinism fault.
 
-    Both arms draw the same type set, so the second arm reuses the first
-    arm's relaxed layouts (`shared_layouts`) and the checksum assertion
-    checks placement, maps and network against that one shared type set.
-    Type-set determinism is gated by the goldens and the type-set tests."""
-    with shared_layouts():
-        social = run(base_config.with_overrides(seed=seed, social=True),
-                     audit_every=audit_every)
-        nonsocial = run(base_config.with_overrides(seed=seed, social=False),
-                        audit_every=audit_every)
+    Each arm draws the type set itself, so the checksums also compare the
+    two type sets. At the default relaxation parameters both arms read
+    their layouts from the committed layout table and relax none."""
+    social = run(base_config.with_overrides(seed=seed, social=True),
+                 audit_every=audit_every)
+    nonsocial = run(base_config.with_overrides(seed=seed, social=False),
+                    audit_every=audit_every)
     if social.init_checksum != nonsocial.init_checksum:
         raise RuntimeError(
             f"pair determinism fault for seed {seed}: initial checksums differ")

@@ -5,13 +5,17 @@ utility fixed by edge count; its surface side is a six-element signature
 read off a circular layout that a relaxation pass drives toward equal
 edge lengths. Nearby signatures can hide very different utilities, which
 is what makes the search landscape rugged.
+
+There are only 26,704 products, so at `RunConfig`'s relaxation defaults
+every layout is read from a committed table, `k6_layouts.npy`, that
+`tools/layout_table.py` relaxed once; other parameters relax at run time.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -143,13 +147,14 @@ def _block(ei, ej, mask, inc, m) -> _Block:
 
 
 def _edge_block(topologies) -> _Block:
-    # pad per-topology edge lists to a common width; mask marks real edges
+    # pad every edge list to MAX_EDGES, so a row sums in the same order
+    # whatever its block (numpy adds fewer than 8 values in another order
+    # than 8 or more); mask marks real edges
     count = len(topologies)
-    width = max(t.edge_count for t in topologies)
-    ei = np.zeros((count, width), dtype=np.intp)
-    ej = np.zeros((count, width), dtype=np.intp)
-    mask = np.zeros((count, width))
-    inc = np.zeros((count, width, N_VERTICES))
+    ei = np.zeros((count, MAX_EDGES), dtype=np.intp)
+    ej = np.zeros((count, MAX_EDGES), dtype=np.intp)
+    mask = np.zeros((count, MAX_EDGES))
+    inc = np.zeros((count, MAX_EDGES, N_VERTICES))
     for k, topo in enumerate(topologies):
         for e, (i, j) in enumerate(topo.edges):
             ei[k, e] = i
@@ -238,21 +243,35 @@ def _descend(block, step, tol, max_iter, min_separation, separation_weight):
     return final_theta, converged
 
 
-# descent results by block while a `shared_layouts` scope is open
-_memo: dict | None = None
+# the relaxation parameters of the layout table: `RunConfig`'s defaults
+TABLE_PARAMS = (0.01, 1e-8, 10_000, 0.1, 1.0)
+TABLE_PATH = Path(__file__).with_name("k6_layouts.npy")
+_PAIR_BIT = {pair: 1 << k for k, pair in enumerate(VERTEX_PAIRS)}
 
 
-@contextmanager
-def shared_layouts():
-    """Within this scope, `layout_signatures` relaxes each distinct block
-    (edge lists plus relaxation parameters) once and answers repeats from
-    the stored angles; the scope always ends with nothing stored."""
-    global _memo
-    _memo = {}
-    try:
-        yield
-    finally:
-        _memo = None
+def edge_mask(topology: ProductTopology) -> int:
+    """The graph's edge set as a bit mask: bit k is set for VERTEX_PAIRS[k]."""
+    return sum(_PAIR_BIT[e] for e in topology.edges)
+
+
+def _table_rows(masks) -> np.ndarray:
+    """Rows `masks` of the committed layout table: row `mask` holds the six
+    relaxed angles and the converged flag (1.0 or 0.0) of the graph with
+    that edge mask at TABLE_PARAMS; rows of masks that are no product are
+    NaN. `tools/layout_table.py` writes it. The rows are read one by one,
+    as a memory map would bring the whole file into the resident set."""
+    width = N_VERTICES + 1
+    with open(TABLE_PATH, "rb", buffering=0) as f:
+        np.lib.format.read_magic(f)
+        if np.lib.format.read_array_header_1_0(f) != \
+                ((1 << len(VERTEX_PAIRS), width), False, np.dtype("<f8")):
+            raise ValueError(f"{TABLE_PATH} is not a layout table")
+        start = f.tell()
+        rows = []
+        for mask in masks:
+            f.seek(start + 8 * width * mask)
+            rows.append(f.read(8 * width))
+    return np.frombuffer(b"".join(rows), dtype="<f8").reshape(-1, width)
 
 
 def layout_signatures(topologies, step: float = 0.01, tol: float = 1e-8,
@@ -267,25 +286,20 @@ def layout_signatures(topologies, step: float = 0.01, tol: float = 1e-8,
     report their best iterate with converged=False. Deterministic, and
     independent of how layouts are grouped into blocks.
 
-    Inside `shared_layouts` (a pair's two arms) a repeated block reuses
-    the relaxed angles and converged flags of its first call, and only the
-    signatures, residuals and results are built anew. So the pair's
-    init-checksum assertion compares placement, maps and network over one
-    shared type set; type-set determinism is gated by the goldens and the
-    type-set tests, which run outside any such scope.
+    At TABLE_PARAMS the relaxed angles and converged flags are read from
+    the layout table, which holds exactly what the descent returns; under
+    any other parameters the block is relaxed here. Signatures and
+    residuals are computed from the angles either way.
     """
     count = len(topologies)
     block = _edge_block(topologies)
     params = (step, tol, max_iter, min_separation, separation_weight)
-    key = None if _memo is None else (tuple(t.edges for t in topologies), params)
-    relaxed = None if key is None else _memo.get(key)
-    if relaxed is None:
-        relaxed = _descend(block, *params)
-        if key is not None:
-            for array in relaxed:
-                array.flags.writeable = False  # shared with later calls
-            _memo[key] = relaxed
-    final_theta, converged = relaxed
+    if params == TABLE_PARAMS:
+        rows = _table_rows([edge_mask(t) for t in topologies])
+        final_theta = np.ascontiguousarray(rows[:, :N_VERTICES])
+        converged = rows[:, N_VERTICES] == 1.0
+    else:
+        final_theta, converged = _descend(block, *params)
     _, _, final_var = _batch_objective(
         final_theta, block, min_separation, separation_weight)
 

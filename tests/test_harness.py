@@ -235,49 +235,44 @@ def test_pair_arms_equal_independent_runs():
     _same_run(pair.nonsocial, run(cfg.with_overrides(seed=5, social=False)))
 
 
-def test_second_arm_of_a_pair_runs_no_descent(monkeypatch):
-    # every layout_signatures call evaluates the objective once for its
-    # residuals; any more evaluations are descent iterations
-    counts = {}
+def _descents_per_arm(monkeypatch, config):
+    # the number of `_descend` calls each arm of a pair makes, by social flag
+    counts = {True: 0, False: 0}
     arm = [None]
-    objective, layouts, plain_run = (products._batch_objective,
-                                     products.layout_signatures, harness.run)
+    descend, plain_run = products._descend, harness.run
 
-    def count(name, fn):
-        def wrapper(*args, **kwargs):
-            key = (arm[0], name)
-            counts[key] = counts.get(key, 0) + 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counting(*args):
+        counts[arm[0]] += 1
+        return descend(*args)
 
     def tagged_run(config, **kwargs):
         arm[0] = config.social
         return plain_run(config, **kwargs)
 
-    monkeypatch.setattr(products, "_batch_objective",
-                        count("objective", objective))
-    monkeypatch.setattr(products, "layout_signatures",
-                        count("layouts", layouts))
+    monkeypatch.setattr(products, "_descend", counting)
     monkeypatch.setattr(harness, "run", tagged_run)
-    run_pair(5, small(cycles=40))
-    assert counts[(True, "objective")] > counts[(True, "layouts")] >= 1
-    assert counts[(False, "objective")] == counts[(False, "layouts")] \
-        == counts[(True, "layouts")]
+    run_pair(5, config)
+    return counts
 
 
-def test_run_pair_closes_the_layout_scope_even_when_it_raises(monkeypatch):
-    assert products._memo is None
-    seen = []
+def test_default_relaxation_is_the_layout_table():
+    defaults = RunConfig()
+    assert (defaults.relax_step, defaults.relax_tol, defaults.relax_max_iter,
+            defaults.overlap_angle, defaults.overlap_weight) \
+        == products.TABLE_PARAMS
 
-    def failing_run(config, **kwargs):
-        seen.append(products._memo is not None)
-        raise RuntimeError("arm failed")
 
-    monkeypatch.setattr(harness, "run", failing_run)
-    with pytest.raises(RuntimeError, match="arm failed"):
-        run_pair(5, small(cycles=40))
-    assert seen == [True]
-    assert products._memo is None
+def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch):
+    assert _descents_per_arm(monkeypatch, small(cycles=40)) \
+        == {True: 0, False: 0}
+
+
+def test_non_default_relaxation_still_descends(monkeypatch):
+    # 200 iterations leave layouts near the start, so spacing is waived
+    counts = _descents_per_arm(monkeypatch,
+                               small(cycles=40, relax_max_iter=200,
+                                     min_type_distance=0.0))
+    assert counts[True] == counts[False] >= 1
 
 
 def test_batch_matches_run_pair():

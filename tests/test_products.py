@@ -107,7 +107,13 @@ def test_scrambled_path_matches_golden_vector():
     assert lay.residual < 1e-4
 
 
-def test_layout_block_golden():
+@pytest.fixture
+def descent(monkeypatch):
+    # default parameters relax through the descent, not the layout table
+    monkeypatch.setattr(products, "TABLE_PARAMS", None)
+
+
+def test_layout_block_golden(descent):
     # one 64-layout block, 16 of its rows stopped by the iteration cap:
     # pins every float the relaxation kernel returns, so a kernel change
     # that moves one bit fails here before any experiment golden does
@@ -123,33 +129,6 @@ def test_layout_block_golden():
         "55895d7afca0b0d1bb8858ccff331f7dc9bb69a4a9764b0e108ee4e69058414e"
 
 
-def test_shared_layouts_reuses_the_descent_and_then_clears(monkeypatch):
-    rng = np.random.default_rng(2)
-    topos = [random_topology(rng) for _ in range(4)]
-    plain = layout_signatures(topos)
-    descents = []
-    descend = products._descend
-
-    def counting(*args):
-        descents.append(args)
-        return descend(*args)
-    monkeypatch.setattr(products, "_descend", counting)
-    assert products._memo is None
-    with products.shared_layouts():
-        first = layout_signatures(topos)
-        again = layout_signatures(topos)
-        layout_signatures(topos, step=0.02)
-    assert products._memo is None
-    assert len(descents) == 2
-    for a, b, c in zip(plain, first, again):
-        assert np.array_equal(a.signature, c.signature)
-        assert b.signature is not c.signature
-        assert (a.residual, a.converged, a.angles) == \
-            (c.residual, c.converged, c.angles)
-    layout_signatures(topos)
-    assert len(descents) == 3
-
-
 def test_layout_sits_at_an_objective_minimum():
     # independent check: random nearby perturbations never reach a lower
     # objective than the relaxation output (up to the descent slack)
@@ -162,15 +141,84 @@ def test_layout_sits_at_an_objective_minimum():
             assert layout_objective(probe, SCRAMBLED_PATH.edges) > base - 1e-7
 
 
-def test_layout_deterministic_and_batch_independent():
+def test_layout_deterministic_and_batch_independent(descent):
     rng = np.random.default_rng(2)
     topos = [random_topology(rng) for _ in range(8)]
+    # a graph each of 5, 6 and 7 edges too: laid out alone, it would sum
+    # fewer than 8 chords, which numpy adds in another order
+    for edges in (5, 6, 7):
+        topo = random_topology(rng)
+        while topo.edge_count != edges:
+            topo = random_topology(rng)
+        topos.append(topo)
     batch = layout_signatures(topos)
     for topo, lay in zip(topos, batch):
         single = layout_signature(topo)
         assert np.array_equal(single.signature, lay.signature)
         assert single.residual == lay.residual
         assert single.converged == lay.converged
+        assert single.angles == lay.angles
+
+
+def _mask_topology(mask):
+    return ProductTopology(tuple(pair for k, pair in enumerate(VERTEX_PAIRS)
+                                 if mask >> k & 1))
+
+
+def _product_masks():
+    # edge masks of the connected graphs with 5-15 edges, by reachability
+    # over all 2**15 edge subsets at once
+    masks = np.arange(1 << len(VERTEX_PAIRS))
+    bits = (masks[:, None] >> np.arange(len(VERTEX_PAIRS))) & 1
+    reach = np.zeros((len(masks), 6, 6), dtype=np.int64)
+    reach[:, range(6), range(6)] = 1
+    for k, (i, j) in enumerate(VERTEX_PAIRS):
+        reach[:, i, j] = reach[:, j, i] = bits[:, k]
+    for _ in range(3):  # paths of up to 8 edges
+        reach = np.minimum(reach @ reach, 1)
+    return np.flatnonzero(reach.all(axis=(1, 2)) & (bits.sum(axis=1) >= 5))
+
+
+def test_layout_table_holds_exactly_the_products():
+    table = np.load(products.TABLE_PATH)
+    assert table.shape == (1 << 15, 7) and table.dtype == np.float64
+    populated = ~np.isnan(table).any(axis=1)
+    assert np.isnan(table[~populated]).all()
+    masks = _product_masks()
+    assert len(masks) == 26_704
+    assert np.array_equal(np.flatnonzero(populated), masks)
+    assert set(np.unique(table[populated, 6])) == {0.0, 1.0}
+    assert products._table_rows(masks).tobytes() == table[masks].tobytes()
+    assert products.edge_mask(K6) == (1 << 15) - 1
+    assert products.edge_mask(P6) == sum(1 << k for k in (0, 5, 9, 12, 14))
+
+
+def test_a_file_that_is_not_the_layout_table_is_rejected(tmp_path,
+                                                        monkeypatch):
+    path = tmp_path / "k6_layouts.npy"
+    np.save(path, np.zeros((1 << 15, 6)))
+    monkeypatch.setattr(products, "TABLE_PATH", path)
+    with pytest.raises(ValueError, match="is not a layout table"):
+        layout_signature(K6)
+
+
+def test_layout_table_equals_the_descent(monkeypatch):
+    # the first converged and the first capped graph of every edge count:
+    # on a numpy that rounds differently, this fails where runs would drift
+    table = np.load(products.TABLE_PATH)
+    sample = {}
+    for mask in _product_masks().tolist():
+        sample.setdefault((mask.bit_count(), table[mask, 6]), mask)
+    assert {edges for edges, _ in sample} == set(range(5, 16))
+    assert {flag for _, flag in sample} == {0.0, 1.0}
+    topos = [_mask_topology(mask) for mask in sample.values()]
+    assert [products.edge_mask(t) for t in topos] == list(sample.values())
+    looked_up = layout_signatures(topos)
+    monkeypatch.setattr(products, "TABLE_PARAMS", None)
+    for a, b in zip(looked_up, layout_signatures(topos)):
+        assert a.signature.tobytes() == b.signature.tobytes()
+        assert struct.pack("<d?6d", a.residual, a.converged, *a.angles) == \
+            struct.pack("<d?6d", b.residual, b.converged, *b.angles)
 
 
 def test_signature_components_nonnegative_and_finite():
