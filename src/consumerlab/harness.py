@@ -68,11 +68,6 @@ class RunConfig:
     min_type_distance: float = 0.25
     max_type_attempts: int = 10_000
     maxima_radius: float = 0.0        # 0 = scaled mean nearest-neighbor distance
-    relax_step: float = 0.01
-    relax_tol: float = 1e-8
-    relax_max_iter: int = 10_000
-    overlap_angle: float = 0.1
-    overlap_weight: float = 1.0
     # consumption space
     proximity_radius: int = 12
     respawn_sigma: float = 10.0
@@ -164,11 +159,9 @@ class RunConfig:
             problems.append("min_type_distance must be >= 0")
         if self.maxima_radius < 0:
             problems.append("maxima_radius must be >= 0; 0 = scaled default")
-        for key in ("max_type_attempts", "relax_max_iter", "conception_nodes"):
+        for key in ("max_type_attempts", "conception_nodes"):
             if getattr(self, key) < 1:
                 problems.append(f"{key} must be >= 1")
-        if not self.relax_step > 0.0:
-            problems.append("relax_step must be positive")
         for key in ("som_alpha", "som_alpha_decay", "som_alpha_floor",
                     "som_radius_decay", "tie_boost", "tie_decay",
                     "tie_removal_floor", "initial_tie_strength",
@@ -217,10 +210,7 @@ def type_set_from_config(config: RunConfig) -> list[ProductType]:
     return generate_type_set(
         config.n_types, config.min_type_distance,
         spawn_streams(config.seed)["types"],
-        max_attempts=config.max_type_attempts, slope=config.utility_slope,
-        step=config.relax_step, tol=config.relax_tol,
-        max_iter=config.relax_max_iter, min_separation=config.overlap_angle,
-        separation_weight=config.overlap_weight)
+        max_attempts=config.max_type_attempts, slope=config.utility_slope)
 
 
 _PLACEMENT_RETRIES = 10_000
@@ -546,8 +536,8 @@ def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0) -> PairRes
     internal determinism fault.
 
     Each arm draws the type set itself, so the checksums also compare the
-    two type sets. At the default relaxation parameters both arms read
-    their layouts from the committed layout table and relax none."""
+    two type sets. Both arms read their layouts from the committed layout
+    table and relax none."""
     social = run(base_config.with_overrides(seed=seed, social=True),
                  audit_every=audit_every)
     nonsocial = run(base_config.with_overrides(seed=seed, social=False),

@@ -6,14 +6,15 @@ read off a circular layout that a relaxation pass drives toward equal
 edge lengths. Nearby signatures can hide very different utilities, which
 is what makes the search landscape rugged.
 
-There are only 26,704 products, so at `RunConfig`'s relaxation defaults
-every layout is read from a committed table, `k6_layouts.npy`, that
-`tools/layout_table.py` relaxed once; other parameters relax at run time.
+There are only 26,704 products, so every layout is read from a committed
+table, `k6_layouts.npy`, that `tools/layout_table.py` relaxed once with
+the reference descent kept here.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -104,9 +105,7 @@ def random_topology(rng: np.random.Generator) -> ProductTopology:
 @dataclass(frozen=True)
 class LayoutResult:
     signature: np.ndarray     # per-vertex distance from the layout centroid
-    residual: float           # std deviation of edge chord lengths at the layout
     converged: bool
-    angles: tuple[float, ...]  # final vertex angles on the unit circle
 
 
 _PAIR_I = np.array([i for i, j in VERTEX_PAIRS])
@@ -195,12 +194,12 @@ def _batch_objective(theta, block, min_separation, separation_weight):
     return variance + penalty, grad, variance
 
 
-def layout_objective(theta, edges, min_separation: float = 0.1,
-                     separation_weight: float = 1.0) -> float:
-    """Objective the relaxation descends (exposed for independent checks)."""
+def layout_objective(theta, edges) -> float:
+    """Objective the relaxation descends at TABLE_PARAMS (exposed for
+    independent checks)."""
     block = _edge_block([ProductTopology(tuple(edges))])
     value, _, _ = _batch_objective(np.asarray(theta, dtype=float)[None, :],
-                                   block, min_separation, separation_weight)
+                                   block, *TABLE_PARAMS[3:])
     return float(value[0])
 
 
@@ -243,10 +242,35 @@ def _descend(block, step, tol, max_iter, min_separation, separation_weight):
     return final_theta, converged
 
 
-# the relaxation parameters of the layout table: `RunConfig`'s defaults
+# the relaxation parameters of the layout table: step, tol, max_iter,
+# min_separation, separation_weight
 TABLE_PARAMS = (0.01, 1e-8, 10_000, 0.1, 1.0)
 TABLE_PATH = Path(__file__).with_name("k6_layouts.npy")
 _PAIR_BIT = {pair: 1 << k for k, pair in enumerate(VERTEX_PAIRS)}
+
+
+def relax_layouts(topologies) -> tuple[np.ndarray, np.ndarray]:
+    """The reference relaxation the layout table holds: (final angles,
+    converged flags) of every graph at TABLE_PARAMS.
+
+    Vertices start evenly spaced on the unit circle (vertex-index order)
+    and follow fixed-step gradient descent on the chord-length variance
+    plus the overlap repulsion. A layout stops once its largest angle
+    update drops below tol; layouts still moving at the iteration cap
+    report their best iterate with converged=False. Deterministic, and
+    independent of how layouts are grouped into blocks.
+    """
+    return _descend(_edge_block(topologies), *TABLE_PARAMS)
+
+
+def centroid_distances(angles) -> np.ndarray:
+    """(k, 6) signatures of (k, 6) C-ordered vertex angles on the unit
+    circle: each vertex's distance from its layout's centroid."""
+    xs = np.cos(angles)
+    ys = np.sin(angles)
+    dx = xs - xs.mean(axis=1)[:, None]
+    dy = ys - ys.mean(axis=1)[:, None]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def edge_mask(topology: ProductTopology) -> int:
@@ -261,12 +285,15 @@ def _table_rows(masks) -> np.ndarray:
     NaN. `tools/layout_table.py` writes it. The rows are read one by one,
     as a memory map would bring the whole file into the resident set."""
     width = N_VERTICES + 1
+    count = 1 << len(VERTEX_PAIRS)
     with open(TABLE_PATH, "rb", buffering=0) as f:
         np.lib.format.read_magic(f)
-        if np.lib.format.read_array_header_1_0(f) != \
-                ((1 << len(VERTEX_PAIRS), width), False, np.dtype("<f8")):
-            raise ValueError(f"{TABLE_PATH} is not a layout table")
+        header = np.lib.format.read_array_header_1_0(f)
         start = f.tell()
+        # a file cut short keeps its header, but not its size
+        if header != ((count, width), False, np.dtype("<f8")) or \
+                os.fstat(f.fileno()).st_size != start + 8 * width * count:
+            raise ValueError(f"{TABLE_PATH} is not a layout table")
         rows = []
         for mask in masks:
             f.seek(start + 8 * width * mask)
@@ -274,50 +301,20 @@ def _table_rows(masks) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype="<f8").reshape(-1, width)
 
 
-def layout_signatures(topologies, step: float = 0.01, tol: float = 1e-8,
-                      max_iter: int = 10_000, min_separation: float = 0.1,
-                      separation_weight: float = 1.0) -> list[LayoutResult]:
-    """Relax circular layouts for a whole block of product graphs at once.
-
-    Vertices start evenly spaced on the unit circle (vertex-index order)
-    and follow fixed-step gradient descent on the chord-length variance
-    plus the overlap repulsion. A layout stops once its largest angle
-    update drops below `tol`; layouts still moving at the iteration cap
-    report their best iterate with converged=False. Deterministic, and
-    independent of how layouts are grouped into blocks.
-
-    At TABLE_PARAMS the relaxed angles and converged flags are read from
-    the layout table, which holds exactly what the descent returns; under
-    any other parameters the block is relaxed here. Signatures and
-    residuals are computed from the angles either way.
-    """
-    count = len(topologies)
-    block = _edge_block(topologies)
-    params = (step, tol, max_iter, min_separation, separation_weight)
-    if params == TABLE_PARAMS:
-        rows = _table_rows([edge_mask(t) for t in topologies])
-        final_theta = np.ascontiguousarray(rows[:, :N_VERTICES])
-        converged = rows[:, N_VERTICES] == 1.0
-    else:
-        final_theta, converged = _descend(block, *params)
-    _, _, final_var = _batch_objective(
-        final_theta, block, min_separation, separation_weight)
-
-    xs = np.cos(final_theta)
-    ys = np.sin(final_theta)
-    dx = xs - xs.mean(axis=1)[:, None]
-    dy = ys - ys.mean(axis=1)[:, None]
-    signatures = np.sqrt(dx * dx + dy * dy)
+def layout_signatures(topologies) -> list[LayoutResult]:
+    """The relaxed layouts of a block of product graphs, read from the
+    layout table: each graph's signature and whether its descent
+    converged."""
+    rows = _table_rows([edge_mask(t) for t in topologies])
+    signatures = centroid_distances(np.ascontiguousarray(rows[:, :N_VERTICES]))
     return [LayoutResult(signature=signatures[k].copy(),
-                         residual=math.sqrt(max(float(final_var[k]), 0.0)),
-                         converged=bool(converged[k]),
-                         angles=tuple(final_theta[k]))
-            for k in range(count)]
+                         converged=bool(rows[k, N_VERTICES] == 1.0))
+            for k in range(len(topologies))]
 
 
-def layout_signature(topology: ProductTopology, **kwargs) -> LayoutResult:
-    """Relax one product graph's circular layout and read its signature."""
-    return layout_signatures([topology], **kwargs)[0]
+def layout_signature(topology: ProductTopology) -> LayoutResult:
+    """One product graph's relaxed layout and signature."""
+    return layout_signatures([topology])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +361,8 @@ _CANDIDATE_BLOCK = 32
 
 
 def generate_type_set(n: int, min_distance: float, rng: np.random.Generator,
-                      max_attempts: int = 10_000, slope: float = 1.0,
-                      **layout_kwargs) -> list[ProductType]:
+                      max_attempts: int = 10_000, slope: float = 1.0
+                      ) -> list[ProductType]:
     """Generate `n` product types whose signatures are pairwise at least
     `min_distance` apart.
 
@@ -383,7 +380,7 @@ def generate_type_set(n: int, min_distance: float, rng: np.random.Generator,
     attempts = 0
     while attempts < max_attempts:
         block = [random_topology(rng) for _ in range(_CANDIDATE_BLOCK)]
-        layouts = layout_signatures(block, **layout_kwargs)
+        layouts = layout_signatures(block)
         for topology, layout in zip(block, layouts):
             attempts += 1
             if all(valuation(layout.signature, t.signature) >= min_distance

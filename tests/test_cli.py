@@ -569,12 +569,15 @@ def test_config_file_that_is_not_utf8_is_named(tmp_path, capsys, newline):
     assert not out.exists()
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # relax_step is a removed key: a config file that still sets it fails
     path = tmp_path / "c.cfg"
-    path.write_text("no_such_knob = 1\n")
-    code = main(["run", "--seed", "1", "--config", str(path),
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 1
+    for key in ("no_such_knob", "relax_step"):
+        path.write_text(f"{key} = 0.01\n")
+        code = main(["run", "--seed", "1", "--config", str(path),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert f"unknown configuration key: {key}" in capsys.readouterr().err
 
 
 def test_malformed_config_line_rejected(tmp_path, capsys):

@@ -31,8 +31,6 @@ SMALL_WORLD = st.fixed_dictionaries({
     "min_type_distance": st.floats(0.0, 0.5),
     "max_type_attempts": st.integers(1, 60),
     "maxima_radius": st.floats(0.0, 1.0),
-    "relax_step": st.floats(1e-4, 0.05),
-    "relax_max_iter": st.integers(1, 200),
     "proximity_radius": st.integers(1, 15),
     "respawn_sigma": st.floats(0.0, 20.0),
     "conception_nodes": st.integers(1, 6),

@@ -61,8 +61,6 @@ def test_validate_catches_bad_configs():
     assert RunConfig(tie_removal_floor=-0.05).validate()
     assert RunConfig(initial_tie_strength=1.5).validate()
     assert RunConfig(referral_strength=-0.5).validate()
-    assert RunConfig(relax_step=0.0).validate()
-    assert RunConfig(relax_max_iter=0).validate()
     assert RunConfig(max_type_attempts=0).validate()
     assert RunConfig(seed=-1).validate()
     assert RunConfig(utility_slope=-101.0).validate()
@@ -235,7 +233,7 @@ def test_pair_arms_equal_independent_runs():
     _same_run(pair.nonsocial, run(cfg.with_overrides(seed=5, social=False)))
 
 
-def _descents_per_arm(monkeypatch, config):
+def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch):
     # the number of `_descend` calls each arm of a pair makes, by social flag
     counts = {True: 0, False: 0}
     arm = [None]
@@ -251,28 +249,8 @@ def _descents_per_arm(monkeypatch, config):
 
     monkeypatch.setattr(products, "_descend", counting)
     monkeypatch.setattr(harness, "run", tagged_run)
-    run_pair(5, config)
-    return counts
-
-
-def test_default_relaxation_is_the_layout_table():
-    defaults = RunConfig()
-    assert (defaults.relax_step, defaults.relax_tol, defaults.relax_max_iter,
-            defaults.overlap_angle, defaults.overlap_weight) \
-        == products.TABLE_PARAMS
-
-
-def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch):
-    assert _descents_per_arm(monkeypatch, small(cycles=40)) \
-        == {True: 0, False: 0}
-
-
-def test_non_default_relaxation_still_descends(monkeypatch):
-    # 200 iterations leave layouts near the start, so spacing is waived
-    counts = _descents_per_arm(monkeypatch,
-                               small(cycles=40, relax_max_iter=200,
-                                     min_type_distance=0.0))
-    assert counts[True] == counts[False] >= 1
+    run_pair(5, small(cycles=40))
+    assert counts == {True: 0, False: 0}
 
 
 def test_batch_matches_run_pair():

@@ -2,7 +2,9 @@
 type-set generation and landscape maxima."""
 
 import hashlib
+import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,6 +25,25 @@ P6 = ProductTopology(tuple((i, i + 1) for i in range(5)))
 # a path graph again, but threaded through the circle out of label order so
 # the evenly spaced start is NOT already an equal-chord layout
 SCRAMBLED_PATH = ProductTopology(tuple(sorted([(0, 2), (2, 4), (1, 4), (1, 3), (3, 5)])))
+
+
+class Relaxed(NamedTuple):
+    signature: np.ndarray
+    residual: float  # std deviation of edge chord lengths at the layout
+    converged: bool
+    angles: tuple[float, ...]
+
+
+def relaxed(topologies):
+    """What the reference descent returns for each graph, with the chord
+    residual the objective reads at its final angles."""
+    angles, converged = products.relax_layouts(topologies)
+    _, _, variance = products._batch_objective(
+        angles, products._edge_block(topologies), *products.TABLE_PARAMS[3:])
+    signatures = products.centroid_distances(angles)
+    return [Relaxed(signatures[k], math.sqrt(max(float(variance[k]), 0.0)),
+                    bool(converged[k]), tuple(angles[k]))
+            for k in range(len(topologies))]
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +106,7 @@ def test_cycle_graph_signature_all_equal():
 def test_label_ordered_path_is_symmetric_fixed_point():
     # every edge joins circle-adjacent vertices, so the start layout already
     # has zero chord variance
-    lay = layout_signature(P6)
+    [lay] = relaxed([P6])
     assert lay.converged
     assert lay.signature.max() - lay.signature.min() < 1e-9
     assert lay.residual < 1e-12
@@ -102,23 +123,17 @@ _SCRAMBLED_PATH_GOLDEN = np.array([
 
 
 def test_scrambled_path_matches_golden_vector():
-    lay = layout_signature(SCRAMBLED_PATH)
+    [lay] = relaxed([SCRAMBLED_PATH])
     assert np.allclose(lay.signature, _SCRAMBLED_PATH_GOLDEN, atol=1e-3)
     assert lay.residual < 1e-4
 
 
-@pytest.fixture
-def descent(monkeypatch):
-    # default parameters relax through the descent, not the layout table
-    monkeypatch.setattr(products, "TABLE_PARAMS", None)
-
-
-def test_layout_block_golden(descent):
+def test_layout_block_golden():
     # one 64-layout block, 16 of its rows stopped by the iteration cap:
     # pins every float the relaxation kernel returns, so a kernel change
     # that moves one bit fails here before any experiment golden does
     rng = np.random.default_rng(12)
-    layouts = layout_signatures([random_topology(rng) for _ in range(64)])
+    layouts = relaxed([random_topology(rng) for _ in range(64)])
     assert sum(not lay.converged for lay in layouts) == 16
     h = hashlib.sha256()
     for lay in layouts:
@@ -132,7 +147,7 @@ def test_layout_block_golden(descent):
 def test_layout_sits_at_an_objective_minimum():
     # independent check: random nearby perturbations never reach a lower
     # objective than the relaxation output (up to the descent slack)
-    lay = layout_signature(SCRAMBLED_PATH)
+    [lay] = relaxed([SCRAMBLED_PATH])
     base = layout_objective(lay.angles, SCRAMBLED_PATH.edges)
     rng = np.random.default_rng(1)
     for scale in (1e-3, 1e-2):
@@ -141,7 +156,7 @@ def test_layout_sits_at_an_objective_minimum():
             assert layout_objective(probe, SCRAMBLED_PATH.edges) > base - 1e-7
 
 
-def test_layout_deterministic_and_batch_independent(descent):
+def test_layout_deterministic_and_batch_independent():
     rng = np.random.default_rng(2)
     topos = [random_topology(rng) for _ in range(8)]
     # a graph each of 5, 6 and 7 edges too: laid out alone, it would sum
@@ -151,9 +166,9 @@ def test_layout_deterministic_and_batch_independent(descent):
         while topo.edge_count != edges:
             topo = random_topology(rng)
         topos.append(topo)
-    batch = layout_signatures(topos)
+    batch = relaxed(topos)
     for topo, lay in zip(topos, batch):
-        single = layout_signature(topo)
+        [single] = relaxed([topo])
         assert np.array_equal(single.signature, lay.signature)
         assert single.residual == lay.residual
         assert single.converged == lay.converged
@@ -195,14 +210,19 @@ def test_layout_table_holds_exactly_the_products():
 
 def test_a_file_that_is_not_the_layout_table_is_rejected(tmp_path,
                                                         monkeypatch):
-    path = tmp_path / "k6_layouts.npy"
-    np.save(path, np.zeros((1 << 15, 6)))
-    monkeypatch.setattr(products, "TABLE_PATH", path)
-    with pytest.raises(ValueError, match="is not a layout table"):
-        layout_signature(K6)
+    wrong_shape = tmp_path / "wrong_shape.npy"
+    np.save(wrong_shape, np.zeros((1 << 15, 6)))
+    # the real header, but only half the rows
+    truncated = tmp_path / "truncated.npy"
+    table = products.TABLE_PATH.read_bytes()
+    truncated.write_bytes(table[:len(table) // 2])
+    for path in (wrong_shape, truncated):
+        monkeypatch.setattr(products, "TABLE_PATH", path)
+        with pytest.raises(ValueError, match="is not a layout table"):
+            layout_signature(K6)
 
 
-def test_layout_table_equals_the_descent(monkeypatch):
+def test_layout_table_equals_the_descent():
     # the first converged and the first capped graph of every edge count:
     # on a numpy that rounds differently, this fails where runs would drift
     table = np.load(products.TABLE_PATH)
@@ -213,12 +233,12 @@ def test_layout_table_equals_the_descent(monkeypatch):
     assert {flag for _, flag in sample} == {0.0, 1.0}
     topos = [_mask_topology(mask) for mask in sample.values()]
     assert [products.edge_mask(t) for t in topos] == list(sample.values())
-    looked_up = layout_signatures(topos)
-    monkeypatch.setattr(products, "TABLE_PARAMS", None)
-    for a, b in zip(looked_up, layout_signatures(topos)):
-        assert a.signature.tobytes() == b.signature.tobytes()
-        assert struct.pack("<d?6d", a.residual, a.converged, *a.angles) == \
-            struct.pack("<d?6d", b.residual, b.converged, *b.angles)
+    rows = table[list(sample.values())]
+    for row, lay, ref in zip(rows, layout_signatures(topos), relaxed(topos)):
+        assert row.tobytes() == \
+            struct.pack("<7d", *ref.angles, float(ref.converged))
+        assert lay.signature.tobytes() == ref.signature.tobytes()
+        assert lay.converged == ref.converged
 
 
 def test_signature_components_nonnegative_and_finite():

@@ -4,9 +4,9 @@
 
 A product is a connected graph on six labelled vertices with 5-15 edges:
 26,704 of the 2**15 edge subsets of K6, where bit k of an edge mask stands
-for VERTEX_PAIRS[k]. Each is relaxed once with the run-time descent at
-`products.TABLE_PARAMS` (`RunConfig`'s relaxation defaults), in blocks of
-BLOCK masks padded to 15 edges, on every usable CPU.
+for VERTEX_PAIRS[k]. Each is relaxed once with the reference descent,
+`products.relax_layouts` at `products.TABLE_PARAMS`, in blocks of BLOCK
+masks, on every usable CPU.
 
 The output (default: `products.TABLE_PATH`, the table runs read) is one
 `.npy` holding a (2**15, 7) float64 array: row `mask` is the six final
@@ -49,9 +49,8 @@ def product_masks() -> list[int]:
 
 def relax_block(masks: list[int]) -> np.ndarray:
     """(len(masks), 7): each mask's relaxed angles and converged flag."""
-    block = products._edge_block([products.ProductTopology(edges(mask))
-                                  for mask in masks])
-    theta, converged = products._descend(block, *products.TABLE_PARAMS)
+    theta, converged = products.relax_layouts(
+        [products.ProductTopology(edges(mask)) for mask in masks])
     return np.column_stack([theta, converged.astype(float)])
 
 
