@@ -15,7 +15,9 @@ and `max_type_attempts` in landscape).
 
 experiment and analyze run on one worker process per usable CPU
 (`harness.usable_cpus`; `experiment --workers` overrides it), and their
-bytes, messages and exit codes do not depend on the count.
+bytes, messages and exit codes do not depend on the count. experiment
+also runs the two arms of a pair on worker processes: each of its P pairs
+gets `max(1, workers // P)` of them (see `harness.batch`).
 """
 
 from __future__ import annotations

@@ -530,22 +530,33 @@ def run(config: RunConfig, audit_every: int = 0) -> RunResult:
         metrics=run_metrics(samples, config))
 
 
-def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0) -> PairResult:
+def run_pair(seed: int, base_config: RunConfig, audit_every: int = 0,
+             workers: Optional[int] = None) -> PairResult:
     """Two runs sharing one seed, differing only in the social flag. The
     initial states must agree bit-exactly; a checksum mismatch is an
     internal determinism fault.
 
-    Each arm draws the type set itself, so the checksums also compare the
-    two type sets. Both arms read their layouts from the committed layout
-    table and relax none."""
-    social = run(base_config.with_overrides(seed=seed, social=True),
-                 audit_every=audit_every)
-    nonsocial = run(base_config.with_overrides(seed=seed, social=False),
-                    audit_every=audit_every)
+    The arms share nothing after their initialization, so they run through
+    `pool_map` on `workers` processes (default: `usable_cpus()`), at most
+    one per arm, in-process when that is 1; the result does not depend on
+    the count. Each arm draws the type set itself, so the checksums also
+    compare the two type sets. Both arms read their layouts from the
+    committed layout table and relax none."""
+    social, nonsocial = pool_map(
+        partial(_arm_worker, audit_every=audit_every),
+        [base_config.with_overrides(seed=seed, social=flag)
+         for flag in (True, False)],
+        usable_cpus() if workers is None else workers)
     if social.init_checksum != nonsocial.init_checksum:
         raise RuntimeError(
             f"pair determinism fault for seed {seed}: initial checksums differ")
     return PairResult(seed=seed, social=social, nonsocial=nonsocial)
+
+
+def _arm_worker(config: RunConfig, audit_every: int) -> RunResult:
+    # looks `run` up on the module, so that a wrapper put there
+    # (benchmark/tracer.py) also runs in the workers
+    return run(config, audit_every=audit_every)
 
 
 def usable_cpus() -> int:
@@ -583,20 +594,26 @@ def pool_map(fn, items: list, workers: int) -> list:
             raise
 
 
-def _pair_worker(seed: int, config: RunConfig) -> PairResult:
+def _pair_worker(seed: int, config: RunConfig, workers: int) -> PairResult:
     # looks `run_pair` up on the module, so that a wrapper put there
     # (benchmark/tracer.py) also runs in the workers
-    return run_pair(seed, config)
+    return run_pair(seed, config, workers=workers)
 
 
 def batch(n_pairs: int, seed_base: int, config: RunConfig,
           workers: int = 1) -> list[PairResult]:
     """Run `n_pairs` independent pairs at seeds seed_base, seed_base+1, ...
-    Results come back in seed order regardless of worker count."""
+    Results come back in seed order regardless of worker count.
+
+    The pairs share the `workers` processes: each pair runs its arms on
+    `max(1, workers // n_pairs)` of them, so no more than `workers` arms
+    run at once, and `workers=1` runs everything in-process."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    return pool_map(partial(_pair_worker, config=config),
-                    [seed_base + i for i in range(n_pairs)], workers)
+    return pool_map(
+        partial(_pair_worker, config=config,
+                workers=max(1, workers // n_pairs)),
+        [seed_base + i for i in range(n_pairs)], workers)
 
 
 # ---------------------------------------------------------------------------

@@ -350,10 +350,12 @@ SITUATIONS = ("dissatisfied", "bored", "interact", "find_friend",
               "change_location", "change_values")
 
 
-def test_long_golden_sets_every_situation(tmp_path, monkeypatch):
+def test_long_golden_sets_every_situation(tmp_path, monkeypatch,
+                                         recording_pool):
     # the long golden gates every rule only if every situation fires in it:
     # count the evaluations after which each flag is set, per seed and arm
-    # (the wrapper reads the flags and draws nothing)
+    # (the wrapper reads the flags and draws nothing); the recording pool
+    # runs both arms in-process, where they count
     path = tmp_path / "long.cfg"
     path.write_text(LONG_CONFIG)
     config = cli.build_config(str(path), {})
@@ -369,7 +371,8 @@ def test_long_golden_sets_every_situation(tmp_path, monkeypatch):
     for seed in (11, 12):
         for social in (True, False):
             counts[(seed, social)] = dict.fromkeys(SITUATIONS, 0)
-        harness.run_pair(seed, config)
+        harness.run_pair(seed, config, workers=2)
+    assert [pool.max_workers for pool in recording_pool] == [2, 2]
     for name in SITUATIONS:
         assert sum(arm[name] for arm in counts.values()) > 0, (name, counts)
     for seed in (11, 12):

@@ -233,8 +233,18 @@ def test_pair_arms_equal_independent_runs():
     _same_run(pair.nonsocial, run(cfg.with_overrides(seed=5, social=False)))
 
 
-def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch):
-    # the number of `_descend` calls each arm of a pair makes, by social flag
+def test_forked_pair_equals_in_process_pair():
+    # on one CPU as on many: two workers fork a pool of two
+    cfg = small(cycles=100)
+    forked, local = run_pair(5, cfg, workers=2), run_pair(5, cfg, workers=1)
+    _same_run(forked.social, local.social)
+    _same_run(forked.nonsocial, local.nonsocial)
+
+
+def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch,
+                                                      recording_pool):
+    # the number of `_descend` calls each arm of a pair makes, by social
+    # flag; the recording pool runs both arms in-process, where they count
     counts = {True: 0, False: 0}
     arm = [None]
     descend, plain_run = products._descend, harness.run
@@ -249,7 +259,8 @@ def test_a_default_pair_runs_no_descent_in_either_arm(monkeypatch):
 
     monkeypatch.setattr(products, "_descend", counting)
     monkeypatch.setattr(harness, "run", tagged_run)
-    run_pair(5, small(cycles=40))
+    run_pair(5, small(cycles=40), workers=2)
+    assert [pool.max_workers for pool in recording_pool] == [2]
     assert counts == {True: 0, False: 0}
 
 
@@ -292,13 +303,26 @@ def test_worker_config_error_keeps_its_problems():
     assert str(info.value) == "invalid configuration: seed must be >= 0"
 
 
+def test_arm_worker_config_error_keeps_its_problems():
+    with pytest.raises(ConfigError) as info:
+        run_pair(-1, SMALL.with_overrides(cycles=40), workers=2)
+    assert info.value.problems == ["seed must be >= 0"]
+
+
 def test_batch_forks_no_more_workers_than_pairs(recording_pool):
+    # each pair gets workers // n_pairs processes, at least one: no pool
+    # asks for more than `workers`, nor for more than its pairs or arms
     cfg = SMALL.with_overrides(cycles=40, sample_every=20)
     pairs = batch(2, 31, cfg, workers=500)
-    assert [pool.max_workers for pool in recording_pool] == [2]
+    assert [pool.max_workers for pool in recording_pool] == [2, 2, 2]
     assert [p.seed for p in pairs] == [31, 32]
+    recording_pool.clear()
     assert [p.seed for p in batch(1, 31, cfg, workers=500)] == [31]
-    assert len(recording_pool) == 1
+    assert [pool.max_workers for pool in recording_pool] == [2]
+    recording_pool.clear()
+    # one process per pair: the arms run in-process
+    assert [p.seed for p in batch(4, 31, cfg, workers=2)] == [31, 32, 33, 34]
+    assert [pool.max_workers for pool in recording_pool] == [2]
 
 
 @pytest.mark.parametrize("workers", [0, -3])
